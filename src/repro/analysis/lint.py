@@ -11,9 +11,10 @@ Rule catalogue
 --------------
 R1  Every public mutator on a cache-carrying class (``Community``,
     ``UserPairMatrix``) that writes backing state must invalidate the
-    cache: call its invalidation hook (``self._mutated()`` /
-    ``self._invalidate()``) or assign the cache attribute directly
-    (``self._csr = None``).
+    cache: call its invalidation hook (``self._record(...)`` or
+    ``self._mutated()`` on ``Community``, which bump ``Community.version``;
+    ``self._invalidate()`` on ``UserPairMatrix``) or assign the cache
+    attribute directly (``self._csr = None``).
 R2  Modules marked with a ``repro: hot-path`` comment may not call the
     per-row/dict APIs (``entries()``, ``iter_ratings()``,
     ``direct_connections()``, ...) where a columnar equivalent exists.
@@ -36,9 +37,9 @@ R6  ``span(...)`` calls (the :mod:`repro.obs` timing API) must be entered
 R7  Every public ``Community`` mutator (a method that writes backing
     state) must publish a structured delta: call ``self._record(...)``
     so the change log sees the mutation.  Invalidation alone
-    (``self._mutated()``) is not enough -- a silent version bump starves
-    every change-log subscriber (delta-aware columns, the incremental
-    engine) into conservative full rebuilds.
+    (``self._mutated()``) is not enough -- a version bump with no delta
+    leaves every change-log subscriber (the incremental Step-1 tracker,
+    the engine) blind to the mutation.
 
 A finding can be waived with a trailing ``repro: allow(<rule>)`` comment
 on the offending line (or a standalone one on the line directly above),
@@ -86,7 +87,7 @@ _HOT_PATH_RE = re.compile(r"#\s*repro:\s*hot-path\b")
 _CACHE_PROTOCOLS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
     "Community": (
         frozenset({"_mutated", "_record"}),
-        frozenset({"_version", "_columns", "_columns_key"}),
+        frozenset({"_version", "_columns"}),
     ),
     "UserPairMatrix": (
         frozenset({"_invalidate"}),

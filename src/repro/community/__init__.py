@@ -10,8 +10,9 @@ integrity rules of an Epinions-style site enforced:
 - a user may rate a given review at most once, and never their own review;
 - every review belongs to an object, every object to a category.
 
-The community is backed by :class:`repro.store.Database`, so all referential
-integrity is checked at insert time.
+The community stores its own records and checks all referential integrity
+at insert time; :meth:`Community.columns` serves the integer-coded
+:class:`CommunityColumns` view every hot path reads.
 """
 
 from repro.community.columnar import CommunityColumns

@@ -3,9 +3,9 @@
 The paper's hot paths (eqs. 1-4, the relation ``R``) consume ratings over
 and over; materialising them as per-row Python dicts on every call is what
 kept the Step-1 fit slow after the kernel layer landed.  This module holds
-the remedy: one pass over the store encodes every review and rating into
-integer-coded numpy columns, and every consumer afterwards works on those
-arrays.
+the remedy: one pass over the community's records encodes every review and
+rating into integer-coded numpy columns, and every consumer afterwards works
+on those arrays.
 
 Layout
 ------
@@ -18,14 +18,13 @@ category both views preserve insertion order, which keeps every accumulation
 bitwise identical to the row-scan code it replaces.
 
 The view is immutable; :meth:`repro.community.Community.columns` caches one
-per community version and rebuilds it after any mutation.
+and refreshes it from the records appended since it was built.
 """
 
 # repro: hot-path
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,6 +36,7 @@ from repro.matrix.labels import LabelIndex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.community.community import Community
+    from repro.community.model import ReviewRating
 
 __all__ = ["CommunityColumns"]
 
@@ -201,42 +201,41 @@ class CommunityColumns:
 
     @classmethod
     def from_community(cls, community: "Community") -> "CommunityColumns":
-        """Encode ``community`` into columns (one pass per table)."""
+        """Encode ``community`` into columns (one pass over its records)."""
         users = LabelIndex(community.user_ids())
         categories = LabelIndex(community.category_ids())
         upos = users._positions  # bulk dict lookups, avoids per-call method cost
         cpos = categories._positions
 
-        review_rows = list(community.database.table("reviews")._rows.values())
-        num_reviews = len(review_rows)
+        reviews, ratings = community.records_after(0, 0)
+        num_reviews = len(reviews)
         writer_idx = np.fromiter(
-            (upos[row["writer_id"]] for row in review_rows),
+            (upos[review.writer_id] for review, _ in reviews),
             dtype=np.int64,
             count=num_reviews,
         )
         category_idx = np.fromiter(
-            (cpos[row["category_id"]] for row in review_rows),
+            (cpos[category] for _, category in reviews),
             dtype=np.int64,
             count=num_reviews,
         )
         order = np.argsort(category_idx, kind="stable")
-        review_ids = tuple(review_rows[int(i)]["review_id"] for i in order)
+        review_ids = tuple(reviews[int(i)][0].review_id for i in order)
         new_pos = {rid: pos for pos, rid in enumerate(review_ids)}
 
-        rating_rows = list(community.database.table("ratings")._rows.values())
-        num_ratings = len(rating_rows)
+        num_ratings = len(ratings)
         rater_idx = np.fromiter(
-            (upos[row["rater_id"]] for row in rating_rows),
+            (upos[rating.rater_id] for rating in ratings),
             dtype=np.int64,
             count=num_ratings,
         )
         rating_review_idx = np.fromiter(
-            (new_pos[row["review_id"]] for row in rating_rows),
+            (new_pos[rating.review_id] for rating in ratings),
             dtype=np.int64,
             count=num_ratings,
         )
         values = np.fromiter(
-            (row["value"] for row in rating_rows), dtype=np.float64, count=num_ratings
+            (rating.value for rating in ratings), dtype=np.float64, count=num_ratings
         )
         out = cls(
             users=users,
@@ -253,55 +252,45 @@ class CommunityColumns:
 
     @classmethod
     def refreshed(
-        cls,
-        old: "CommunityColumns",
-        community: "Community",
-        old_counts: tuple[int, int, int, int],
+        cls, old: "CommunityColumns", community: "Community"
     ) -> "CommunityColumns":
-        """Rebuild a snapshot from ``old`` plus the rows appended since.
+        """Rebuild a snapshot from ``old`` plus the records appended since.
 
-        ``old_counts`` is the ``(users, categories, reviews, ratings)``
-        row-count tuple at the time ``old`` was built; every table is
-        append-only, so the rows beyond those counts are exactly the new
-        ones.  New reviews are merged into their category segments with one
-        stable sort over the category column -- old rows keep their
-        relative order, new rows land behind them -- so the result is
-        **bitwise identical** to a cold :meth:`from_community` build, while
-        only the appended rows pay the per-row Python encoding cost.
+        Every entity is append-only, so the reviews and ratings past
+        ``old``'s own counts are exactly the new ones.  New reviews are
+        merged into their category segments with one stable sort over the
+        category column -- old rows keep their relative order, new rows land
+        behind them -- so the result is **bitwise identical** to a cold
+        :meth:`from_community` build, while only the appended records pay
+        the per-record Python encoding cost.
         """
-        old_users, old_categories, old_reviews, old_ratings = old_counts
         users = (
             LabelIndex(community.user_ids())
-            if community.num_users() > old_users
+            if community.num_users() > len(old.users)
             else old.users
         )
         categories = (
             LabelIndex(community.category_ids())
-            if community.num_categories() > old_categories
+            if community.num_categories() > len(old.categories)
             else old.categories
         )
-        if (
-            community.num_reviews() == old_reviews
-            and categories is old.categories
-        ):
+        reviews, ratings = community.records_after(old.num_reviews, old.num_ratings)
+        if not reviews and categories is old.categories:
             # the dominant steady-state delta -- new ratings on the existing
             # review axis -- skips the review re-encode entirely
-            return cls._refreshed_ratings_only(old, community, users, old_ratings)
+            return cls._refreshed_ratings_only(old, users, ratings)
         upos = users._positions
         cpos = categories._positions
 
-        review_rows = list(
-            islice(community.database.table("reviews")._rows.values(), old_reviews, None)
-        )
         new_writer_idx = np.fromiter(
-            (upos[row["writer_id"]] for row in review_rows),
+            (upos[review.writer_id] for review, _ in reviews),
             dtype=np.int64,
-            count=len(review_rows),
+            count=len(reviews),
         )
         new_category_idx = np.fromiter(
-            (cpos[row["category_id"]] for row in review_rows),
+            (cpos[category] for _, category in reviews),
             dtype=np.int64,
-            count=len(review_rows),
+            count=len(reviews),
         )
         # old axis (already category-major, insertion order within each
         # category) followed by the appended reviews (insertion order):
@@ -310,30 +299,27 @@ class CommunityColumns:
         writer_idx = np.concatenate([old.review_writer_idx, new_writer_idx])
         category_idx = np.concatenate([old.review_category_idx, new_category_idx])
         order = np.argsort(category_idx, kind="stable")
-        concat_ids = old.review_ids + tuple(row["review_id"] for row in review_rows)
+        concat_ids = old.review_ids + tuple(review.review_id for review, _ in reviews)
         review_ids = tuple(concat_ids[int(i)] for i in order)
         # where each pre-refresh global review position landed
         moved = np.empty(len(order), dtype=np.int64)
         moved[order] = np.arange(len(order))
 
-        rating_rows = list(
-            islice(community.database.table("ratings")._rows.values(), old_ratings, None)
-        )
         review_pos = {review_id: pos for pos, review_id in enumerate(review_ids)}
         new_rater_idx = np.fromiter(
-            (upos[row["rater_id"]] for row in rating_rows),
+            (upos[rating.rater_id] for rating in ratings),
             dtype=np.int64,
-            count=len(rating_rows),
+            count=len(ratings),
         )
         new_rating_review_idx = np.fromiter(
-            (review_pos[row["review_id"]] for row in rating_rows),
+            (review_pos[rating.review_id] for rating in ratings),
             dtype=np.int64,
-            count=len(rating_rows),
+            count=len(ratings),
         )
         new_values = np.fromiter(
-            (row["value"] for row in rating_rows),
+            (rating.value for rating in ratings),
             dtype=np.float64,
-            count=len(rating_rows),
+            count=len(ratings),
         )
         out = cls(
             users=users,
@@ -354,11 +340,10 @@ class CommunityColumns:
     def _refreshed_ratings_only(
         cls,
         old: "CommunityColumns",
-        community: "Community",
         users: LabelIndex,
-        old_ratings: int,
+        ratings: list["ReviewRating"],
     ) -> "CommunityColumns":
-        """Refresh when only ratings (and possibly inert rows) were appended.
+        """Refresh when only ratings (and possibly users) were appended.
 
         The review axis is untouched, so every review-side column carries
         over; the appended ratings splice into the ends of their categories'
@@ -367,21 +352,18 @@ class CommunityColumns:
         identical to a cold build.
         """
         upos = users._positions
-        rating_rows = list(
-            islice(community.database.table("ratings")._rows.values(), old_ratings, None)
-        )
-        num_new = len(rating_rows)
+        num_new = len(ratings)
         review_pos = old.review_positions()
         new_rater_idx = np.fromiter(
-            (upos[row["rater_id"]] for row in rating_rows), dtype=np.int64, count=num_new
+            (upos[rating.rater_id] for rating in ratings), dtype=np.int64, count=num_new
         )
         new_review_idx = np.fromiter(
-            (review_pos[row["review_id"]] for row in rating_rows),
+            (review_pos[rating.review_id] for rating in ratings),
             dtype=np.int64,
             count=num_new,
         )
         new_values = np.fromiter(
-            (row["value"] for row in rating_rows), dtype=np.float64, count=num_new
+            (rating.value for rating in ratings), dtype=np.float64, count=num_new
         )
         new_cat_idx = (
             old.review_category_idx[new_review_idx]

@@ -9,11 +9,18 @@ exposes exactly the access patterns the paper's formulas need:
 - the direct-connection relation ``R`` (*i* rated some review of *j*) and
   per-pair rating averages -- the paper's baseline ``B`` (§IV.C);
 - the explicit web of trust ``T`` when available (ground truth, §IV).
+
+Records are kept as the frozen model objects, one insertion-ordered dict
+per entity keyed by its primary key.  Every entity is append-only, so the
+cached :class:`CommunityColumns` snapshot is current exactly when its own
+counts match the community's, and the records it lacks are the tails past
+those counts.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable, Iterator, TypeVar
 
 from repro import obs
 from repro.common.errors import IntegrityError, ValidationError
@@ -27,116 +34,52 @@ from repro.community.model import (
     TrustStatement,
     User,
 )
-from repro.store import Column, Database, ForeignKey, Schema
 
 __all__ = ["Community"]
 
+_K = TypeVar("_K")
+_V = TypeVar("_V")
 
-def _build_database(name: str) -> Database:
-    db = Database(name)
-    db.create_table(
-        Schema(
-            name="users",
-            columns=[Column("user_id", str), Column("name", str, nullable=True)],
-            primary_key=("user_id",),
-        )
-    )
-    db.create_table(
-        Schema(
-            name="categories",
-            columns=[Column("category_id", str), Column("name", str, nullable=True)],
-            primary_key=("category_id",),
-        )
-    )
-    db.create_table(
-        Schema(
-            name="objects",
-            columns=[
-                Column("object_id", str),
-                Column("category_id", str),
-                Column("title", str, nullable=True),
-            ],
-            primary_key=("object_id",),
-            foreign_keys=(ForeignKey("category_id", "categories"),),
-        )
-    )
-    db.create_table(
-        Schema(
-            name="reviews",
-            columns=[
-                Column("review_id", str),
-                Column("writer_id", str),
-                Column("object_id", str),
-                Column("category_id", str),  # denormalised from the object
-            ],
-            primary_key=("review_id",),
-            foreign_keys=(
-                ForeignKey("writer_id", "users"),
-                ForeignKey("object_id", "objects"),
-                ForeignKey("category_id", "categories"),
-            ),
-            unique=(("writer_id", "object_id"),),  # one review per (writer, object)
-        )
-    )
-    db.create_table(
-        Schema(
-            name="ratings",
-            columns=[
-                Column("rater_id", str),
-                Column("review_id", str),
-                Column("category_id", str),  # denormalised from the review
-                Column("value", float),
-            ],
-            primary_key=("rater_id", "review_id"),
-            foreign_keys=(
-                ForeignKey("rater_id", "users"),
-                ForeignKey("review_id", "reviews"),
-                ForeignKey("category_id", "categories"),
-            ),
-        )
-    )
-    db.create_table(
-        Schema(
-            name="trust",
-            columns=[Column("truster_id", str), Column("trustee_id", str)],
-            primary_key=("truster_id", "trustee_id"),
-            foreign_keys=(
-                ForeignKey("truster_id", "users"),
-                ForeignKey("trustee_id", "users"),
-            ),
-        )
-    )
-    reviews = db.table("reviews")
-    reviews.create_index("category_id")
-    reviews.create_index("writer_id")
-    reviews.create_index("writer_id", "category_id")
-    ratings = db.table("ratings")
-    ratings.create_index("review_id")
-    ratings.create_index("rater_id")
-    ratings.create_index("category_id")
-    ratings.create_index("rater_id", "category_id")
-    objects = db.table("objects")
-    objects.create_index("category_id")
-    trust = db.table("trust")
-    trust.create_index("truster_id")
-    return db
+
+def _tail(records: dict[_K, _V], start: int) -> list[_V]:
+    """The values of ``records`` past the first ``start``, in insertion order.
+
+    Walks the dict from its end, so the cost is the tail's length, not the
+    dict's.
+    """
+    tail = list(islice(reversed(records.values()), len(records) - start))
+    tail.reverse()
+    return tail
 
 
 class Community:
     """An Epinions-style review community.
 
-    All writes go through typed ``add_*`` methods that enforce domain rules
-    on top of the store's referential integrity.
+    All writes go through typed ``add_*`` methods that enforce referential
+    integrity and the domain rules.  Each method runs every check before
+    its first write, so a rejected call changes nothing.
     """
 
     def __init__(self, name: str = "community") -> None:
-        self._db = _build_database(name)
         self.name = name
         self._version = 0
         self._log = ChangeLog()
         self._columns: CommunityColumns | None = None
-        # (log epoch, (users, categories, reviews, ratings)) at build time
-        self._columns_key: tuple[int, tuple[int, int, int, int]] | None = None
+        self._users: dict[str, User] = {}
+        self._categories: dict[str, Category] = {}
+        self._objects: dict[str, ReviewedObject] = {}
+        # each review with the category it inherits from its object
+        self._reviews: dict[str, tuple[Review, str]] = {}
+        self._ratings: dict[tuple[str, str], ReviewRating] = {}
+        self._trust: dict[tuple[str, str], TrustStatement] = {}
+        # one review per (writer, object)
+        self._reviewed: set[tuple[str, str]] = set()
+        # per-key lists kept at insert time, so the per-category, -review,
+        # -writer and -rater queries cost O(result)
+        self._category_objects: dict[str, list[str]] = {}
+        self._writer_reviews: dict[str, list[str]] = {}
+        self._review_ratings: dict[str, list[ReviewRating]] = {}
+        self._rater_ratings: dict[str, list[ReviewRating]] = {}
 
     # ------------------------------------------------------------------ writes
 
@@ -171,7 +114,9 @@ class Community:
         """Register a user (accepts a :class:`User` or a bare id)."""
         if isinstance(user, str):
             user = User(user_id=user, name=name)
-        self._db.insert("users", {"user_id": user.user_id, "name": user.name})
+        if user.user_id in self._users:
+            raise IntegrityError(f"duplicate primary key: user {user.user_id!r}")
+        self._users[user.user_id] = user
         self._record("user", user_id=user.user_id)
         return user
 
@@ -179,22 +124,26 @@ class Community:
         """Register a category (accepts a :class:`Category` or a bare id)."""
         if isinstance(category, str):
             category = Category(category_id=category, name=name)
-        self._db.insert(
-            "categories", {"category_id": category.category_id, "name": category.name}
-        )
+        if category.category_id in self._categories:
+            raise IntegrityError(
+                f"duplicate primary key: category {category.category_id!r}"
+            )
+        self._categories[category.category_id] = category
+        self._category_objects[category.category_id] = []
         self._record("category", category_id=category.category_id)
         return category
 
     def add_object(self, obj: ReviewedObject) -> ReviewedObject:
         """Register a reviewable object under its category."""
-        self._db.insert(
-            "objects",
-            {
-                "object_id": obj.object_id,
-                "category_id": obj.category_id,
-                "title": obj.title,
-            },
-        )
+        if obj.object_id in self._objects:
+            raise IntegrityError(f"duplicate primary key: object {obj.object_id!r}")
+        if obj.category_id not in self._categories:
+            raise IntegrityError(
+                f"object {obj.object_id!r} references unknown category "
+                f"{obj.category_id!r}"
+            )
+        self._objects[obj.object_id] = obj
+        self._category_objects[obj.category_id].append(obj.object_id)
         self._record("object", category_id=obj.category_id, target_id=obj.object_id)
         return obj
 
@@ -205,22 +154,29 @@ class Community:
         object (the paper: "a user is often allowed to write only one review
         on an object").
         """
-        obj = self._db.table("objects").maybe_get(review.object_id)
+        obj = self._objects.get(review.object_id)
         if obj is None:
             raise IntegrityError(f"review references unknown object {review.object_id!r}")
-        self._db.insert(
-            "reviews",
-            {
-                "review_id": review.review_id,
-                "writer_id": review.writer_id,
-                "object_id": review.object_id,
-                "category_id": obj["category_id"],
-            },
-        )
+        if review.review_id in self._reviews:
+            raise IntegrityError(f"duplicate primary key: review {review.review_id!r}")
+        if review.writer_id not in self._users:
+            raise IntegrityError(
+                f"review {review.review_id!r} references unknown writer "
+                f"{review.writer_id!r}"
+            )
+        written = (review.writer_id, review.object_id)
+        if written in self._reviewed:
+            raise IntegrityError(
+                f"unique (writer, object) violated: {review.writer_id!r} already "
+                f"reviewed {review.object_id!r}"
+            )
+        self._reviews[review.review_id] = (review, obj.category_id)
+        self._reviewed.add(written)
+        self._writer_reviews.setdefault(review.writer_id, []).append(review.review_id)
         self._record(
             "review",
             user_id=review.writer_id,
-            category_id=obj["category_id"],
+            category_id=obj.category_id,
             target_id=review.review_id,
         )
         return review
@@ -231,36 +187,48 @@ class Community:
         Domain rules: the rater must not be the review's writer, and each
         (rater, review) pair may appear at most once (the primary key).
         """
-        review = self._db.table("reviews").maybe_get(rating.review_id)
-        if review is None:
+        entry = self._reviews.get(rating.review_id)
+        if entry is None:
             raise IntegrityError(f"rating references unknown review {rating.review_id!r}")
-        if review["writer_id"] == rating.rater_id:
+        review, category_id = entry
+        if review.writer_id == rating.rater_id:
             raise IntegrityError(
                 f"user {rating.rater_id!r} cannot rate their own review {rating.review_id!r}"
             )
-        self._db.insert(
-            "ratings",
-            {
-                "rater_id": rating.rater_id,
-                "review_id": rating.review_id,
-                "category_id": review["category_id"],
-                "value": rating.value,
-            },
+        key = (rating.rater_id, rating.review_id)
+        if key in self._ratings:
+            raise IntegrityError(f"duplicate primary key: rating {key!r}")
+        if rating.rater_id not in self._users:
+            raise IntegrityError(
+                f"rating references unknown rater {rating.rater_id!r}"
+            )
+        stored = (
+            rating
+            if type(rating.value) is float
+            else ReviewRating(rating.rater_id, rating.review_id, float(rating.value))
         )
+        self._ratings[key] = stored
+        self._review_ratings.setdefault(rating.review_id, []).append(stored)
+        self._rater_ratings.setdefault(rating.rater_id, []).append(stored)
         self._record(
             "rating",
             user_id=rating.rater_id,
-            category_id=review["category_id"],
+            category_id=category_id,
             target_id=rating.review_id,
         )
         return rating
 
     def add_trust(self, statement: TrustStatement) -> TrustStatement:
         """Record an explicit (binary) trust statement."""
-        self._db.insert(
-            "trust",
-            {"truster_id": statement.truster_id, "trustee_id": statement.trustee_id},
-        )
+        key = (statement.truster_id, statement.trustee_id)
+        if key in self._trust:
+            raise IntegrityError(f"duplicate primary key: trust {key!r}")
+        for user_id in key:
+            if user_id not in self._users:
+                raise IntegrityError(
+                    f"trust statement references unknown user {user_id!r}"
+                )
+        self._trust[key] = statement
         self._record(
             "trust", user_id=statement.truster_id, target_id=statement.trustee_id
         )
@@ -280,171 +248,136 @@ class Community:
 
     # ------------------------------------------------------------------ reads
 
-    @property
-    def database(self) -> Database:
-        """The underlying store (read access for diagnostics and tests)."""
-        return self._db
-
     def columns(self) -> CommunityColumns:
         """The cached columnar view of this community's reviews and ratings.
 
-        The cache is **delta-aware**: when everything added since the last
-        build is announced in the change log, the snapshot is refreshed in
-        place -- appended reviews/ratings are merged into their category
-        segments (:meth:`CommunityColumns.refreshed`) and trust/object
-        deltas are pure cache hits, because the snapshot does not encode
-        them.  Only out-of-band writes (rows inserted through
-        :attr:`database` directly, which the raw row counts catch) fall
-        back to a full rebuild.
+        The snapshot is stale exactly when its user, category, review or
+        rating count differs from the community's; it is then refreshed
+        from the records past its counts
+        (:meth:`CommunityColumns.refreshed`), never rebuilt.  Object,
+        trust and touch deltas leave it current, because it encodes none
+        of them.
         """
-        counts = (
-            len(self._db.table("users")),
-            len(self._db.table("categories")),
-            len(self._db.table("reviews")),
-            len(self._db.table("ratings")),
-        )
-        epoch = self._log.epoch
-        if self._columns is not None and self._columns_key is not None:
-            old_epoch, old_counts = self._columns_key
-            if old_epoch == epoch and old_counts == counts:
-                obs.add("community.columns.hit")
-                return self._columns
-            if old_epoch < self._log.floor:
-                # the deltas between the snapshot and now were compacted
-                # away; nothing to replay, rebuild from scratch
-                obs.add("community.columns.invalidated")
-                return self._rebuild_columns(epoch, counts)
-            growth = self._log.count_growth(old_epoch)
-            predicted = tuple(old + new for old, new in zip(old_counts, growth))
-            if predicted == counts:
-                if growth == (0, 0, 0, 0):
-                    # trust/object/touch deltas only: nothing the snapshot
-                    # encodes changed
-                    obs.add("community.columns.hit")
-                    self._columns_key = (epoch, counts)
-                    return self._columns
-                obs.add("community.columns.refresh")
-                with obs.span(
-                    "community.columns.refresh",
-                    new_reviews=growth[2],
-                    new_ratings=growth[3],
-                ):
-                    self._columns = CommunityColumns.refreshed(
-                        self._columns, self, old_counts
-                    )
-                self._columns_key = (epoch, counts)
-                return self._columns
-            # rows appeared that no delta announced (a direct bulk load):
-            # the incremental merge cannot trust its segment bookkeeping
-            obs.add("community.columns.invalidated")
-        return self._rebuild_columns(epoch, counts)
-
-    def _rebuild_columns(
-        self, epoch: int, counts: tuple[int, int, int, int]
-    ) -> CommunityColumns:
-        obs.add("community.columns.miss")
-        with obs.span(
-            "community.columns.build",
-            users=counts[0],
-            ratings=counts[3],
+        cached = self._columns
+        if cached is None:
+            obs.add("community.columns.miss")
+            with obs.span(
+                "community.columns.build",
+                users=len(self._users),
+                ratings=len(self._ratings),
+            ):
+                self._columns = CommunityColumns.from_community(self)
+            return self._columns
+        new_reviews = len(self._reviews) - cached.num_reviews
+        new_ratings = len(self._ratings) - cached.num_ratings
+        if (
+            not new_reviews
+            and not new_ratings
+            and len(cached.users) == len(self._users)
+            and len(cached.categories) == len(self._categories)
         ):
-            self._columns = CommunityColumns.from_community(self)
-        self._columns_key = (epoch, counts)
+            obs.add("community.columns.hit")
+            return cached
+        obs.add("community.columns.refresh")
+        with obs.span(
+            "community.columns.refresh",
+            new_reviews=new_reviews,
+            new_ratings=new_ratings,
+        ):
+            self._columns = CommunityColumns.refreshed(cached, self)
         return self._columns
+
+    def records_after(
+        self, num_reviews: int, num_ratings: int
+    ) -> tuple[list[tuple[Review, str]], list[ReviewRating]]:
+        """Reviews (with their category) and ratings past the given counts.
+
+        The columnar snapshot's one read of the records: a cold build asks
+        for everything, a refresh for what was appended since its counts.
+        """
+        return _tail(self._reviews, num_reviews), _tail(self._ratings, num_ratings)
 
     def user_ids(self) -> list[str]:
         """All user ids, in registration order."""
-        return self._db.table("users").distinct("user_id")
+        return list(self._users)
 
     def category_ids(self) -> list[str]:
         """All category ids, in registration order."""
-        return self._db.table("categories").distinct("category_id")
+        return list(self._categories)
 
     def object_ids(self, category_id: str | None = None) -> list[str]:
         """Object ids, optionally restricted to one category."""
-        table = self._db.table("objects")
         if category_id is None:
-            return table.distinct("object_id")
-        return [row["object_id"] for row in table.find(category_id=category_id)]
+            return list(self._objects)
+        return list(self._category_objects.get(category_id, []))
 
     def has_user(self, user_id: str) -> bool:
         """Whether ``user_id`` is registered."""
-        return self._db.table("users").contains(user_id)
+        return user_id in self._users
 
     def num_users(self) -> int:
         """Number of registered users."""
-        return len(self._db.table("users"))
+        return len(self._users)
 
     def num_categories(self) -> int:
         """Number of registered categories."""
-        return len(self._db.table("categories"))
+        return len(self._categories)
 
     def num_reviews(self, category_id: str | None = None) -> int:
         """Number of reviews (optionally within one category)."""
-        table = self._db.table("reviews")
         if category_id is None:
-            return len(table)
-        return table.count(category_id=category_id)
+            return len(self._reviews)
+        if category_id not in self._categories:
+            return 0
+        sl = self.columns().reviews_slice(category_id)
+        return sl.stop - sl.start
 
     def num_ratings(self, category_id: str | None = None) -> int:
         """Number of review ratings (optionally within one category)."""
-        table = self._db.table("ratings")
         if category_id is None:
-            return len(table)
-        return table.count(category_id=category_id)
+            return len(self._ratings)
+        if category_id not in self._categories:
+            return 0
+        sl = self.columns().ratings_slice(category_id)
+        return sl.stop - sl.start
 
     def reviews_in_category(self, category_id: str) -> list[Review]:
         """All reviews written in ``category_id``."""
         self._require_category(category_id)
+        columns = self.columns()
         return [
-            Review(
-                review_id=row["review_id"],
-                writer_id=row["writer_id"],
-                object_id=row["object_id"],
-            )
-            for row in self._db.table("reviews").find(category_id=category_id)
+            self._reviews[review_id][0]
+            for review_id in columns.review_ids[columns.reviews_slice(category_id)]
         ]
 
     def review_category(self, review_id: str) -> str:
         """The category a review belongs to."""
-        row = self._db.table("reviews").maybe_get(review_id)
-        if row is None:
-            raise ValidationError(f"unknown review {review_id!r}")
-        return row["category_id"]
+        return self._review_entry(review_id)[1]
 
     def review_writer(self, review_id: str) -> str:
         """The writer of a review."""
-        row = self._db.table("reviews").maybe_get(review_id)
-        if row is None:
-            raise ValidationError(f"unknown review {review_id!r}")
-        return row["writer_id"]
+        return self._review_entry(review_id)[0].writer_id
 
     def ratings_of_review(self, review_id: str) -> list[tuple[str, float]]:
         """``(rater_id, value)`` pairs for one review, in insertion order."""
-        return [
-            (row["rater_id"], row["value"])
-            for row in self._db.table("ratings").find(review_id=review_id)
-        ]
+        return [(r.rater_id, r.value) for r in self._review_ratings.get(review_id, ())]
 
     def reviews_by_writer(self, writer_id: str, category_id: str | None = None) -> list[str]:
         """Review ids written by ``writer_id`` (optionally in one category)."""
-        table = self._db.table("reviews")
+        review_ids = self._writer_reviews.get(writer_id, [])
         if category_id is None:
-            rows = table.find(writer_id=writer_id)
-        else:
-            rows = table.find(writer_id=writer_id, category_id=category_id)
-        return [row["review_id"] for row in rows]
+            return list(review_ids)
+        return [rid for rid in review_ids if self._reviews[rid][1] == category_id]
 
     def ratings_by_rater(
         self, rater_id: str, category_id: str | None = None
     ) -> list[tuple[str, float]]:
         """``(review_id, value)`` pairs rated by ``rater_id``."""
-        table = self._db.table("ratings")
-        if category_id is None:
-            rows = table.find(rater_id=rater_id)
-        else:
-            rows = table.find(rater_id=rater_id, category_id=category_id)
-        return [(row["review_id"], row["value"]) for row in rows]
+        return [
+            (r.review_id, r.value)
+            for r in self._rater_ratings.get(rater_id, ())
+            if category_id is None or self._reviews[r.review_id][1] == category_id
+        ]
 
     def writing_counts(self, category_id: str) -> dict[str, int]:
         """``a^w``: reviews written per user in ``category_id`` (eq. 4)."""
@@ -467,36 +400,35 @@ class Community:
 
     def trust_edges(self) -> list[tuple[str, str]]:
         """All explicit trust statements as ``(truster, trustee)`` pairs."""
-        return [
-            (row["truster_id"], row["trustee_id"])
-            for row in self._db.table("trust").rows()
-        ]
+        return list(self._trust)
 
     def trusts(self, truster_id: str, trustee_id: str) -> bool:
         """Whether an explicit trust statement ``truster -> trustee`` exists."""
-        return self._db.table("trust").contains(truster_id, trustee_id)
+        return (truster_id, trustee_id) in self._trust
 
     def num_trust_edges(self) -> int:
         """Number of explicit trust statements."""
-        return len(self._db.table("trust"))
+        return len(self._trust)
 
-    def iter_ratings(self) -> Iterator[ReviewRating]:
-        """Iterate over every rating in the community."""
-        for row in self._db.table("ratings").rows():
-            yield ReviewRating(
-                rater_id=row["rater_id"],
-                review_id=row["review_id"],
-                value=row["value"],
-            )
+    def iter_users(self) -> Iterator[User]:
+        """Iterate over every user, in registration order."""
+        return iter(self._users.values())
+
+    def iter_categories(self) -> Iterator[Category]:
+        """Iterate over every category, in registration order."""
+        return iter(self._categories.values())
+
+    def iter_objects(self) -> Iterator[ReviewedObject]:
+        """Iterate over every reviewed object, in registration order."""
+        return iter(self._objects.values())
 
     def iter_reviews(self) -> Iterator[Review]:
         """Iterate over every review in the community."""
-        for row in self._db.table("reviews").rows():
-            yield Review(
-                review_id=row["review_id"],
-                writer_id=row["writer_id"],
-                object_id=row["object_id"],
-            )
+        return (review for review, _category in self._reviews.values())
+
+    def iter_ratings(self) -> Iterator[ReviewRating]:
+        """Iterate over every rating in the community."""
+        return iter(self._ratings.values())
 
     # -------------------------------------------------------- pairwise relations
 
@@ -540,14 +472,27 @@ class Community:
         return community
 
     def summary(self) -> dict[str, int]:
-        """Row counts of every entity kind."""
-        return self._db.stats()
+        """Record counts of every entity kind."""
+        return {
+            "users": len(self._users),
+            "categories": len(self._categories),
+            "objects": len(self._objects),
+            "reviews": len(self._reviews),
+            "ratings": len(self._ratings),
+            "trust": len(self._trust),
+        }
 
     # ------------------------------------------------------------------ internal
 
     def _require_category(self, category_id: str) -> None:
-        if not self._db.table("categories").contains(category_id):
+        if category_id not in self._categories:
             raise ValidationError(f"unknown category {category_id!r}")
+
+    def _review_entry(self, review_id: str) -> tuple[Review, str]:
+        entry = self._reviews.get(review_id)
+        if entry is None:
+            raise ValidationError(f"unknown review {review_id!r}")
+        return entry
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         s = self.summary()

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 from typing import Iterable
 
-from repro.common.errors import DatasetError
+from repro.common.errors import DatasetError, IntegrityError
 from repro.community import (
     Community,
     HELPFULNESS_SCALE,
@@ -85,13 +85,13 @@ def load_epinions_community(
     reviews = list(_parse_content(content_path, separator))
     community = Community("epinions")
 
-    categories = sorted({category for _, _, _, category in reviews})
+    categories = sorted({category for *_, category in reviews})
     users: set[str] = set()
-    for review_id, author_id, _subject_id, _category in reviews:
+    for _line_no, _review_id, author_id, _subject_id, _category in reviews:
         users.add(author_id)
 
     ratings = list(_parse_ratings(rating_path, separator))
-    for _review_id, member_id, _value in ratings:
+    for _line_no, _review_id, member_id, _value in ratings:
         users.add(member_id)
 
     trust_edges: list[tuple[str, str]] = []
@@ -106,28 +106,45 @@ def load_epinions_community(
     for cid in categories:
         community.add_category(cid)
 
-    # subjects (reviewed objects) may be shared across reviews
-    seen_objects: set[str] = set()
+    # subjects (reviewed objects) may be shared across reviews, but not
+    # across categories
+    object_category: dict[str, str] = {}
     known_reviews: set[str] = set()
-    for review_id, author_id, subject_id, category in reviews:
-        if subject_id not in seen_objects:
+    for line_no, review_id, author_id, subject_id, category in reviews:
+        where = f"{content_path}:{line_no}"
+        listed = object_category.get(subject_id)
+        if listed is None:
             community.add_object(ReviewedObject(subject_id, category))
-            seen_objects.add(subject_id)
-        community.add_review(Review(review_id, author_id, subject_id))
+            object_category[subject_id] = category
+        elif listed != category:
+            raise DatasetError(
+                f"{where}: object {subject_id!r} listed under both {listed!r} "
+                f"and {category!r}"
+            )
+        try:
+            community.add_review(Review(review_id, author_id, subject_id))
+        except IntegrityError as exc:  # duplicate id, second review of an object
+            raise DatasetError(f"{where}: {exc}") from exc
         known_reviews.add(review_id)
 
     seen_pairs: set[tuple[str, str]] = set()
-    for review_id, member_id, value in ratings:
+    for line_no, review_id, member_id, value in ratings:
+        where = f"{rating_path}:{line_no}"
         if review_id not in known_reviews:
             if skip_unknown_reviews:
                 continue
-            raise DatasetError(f"rating references unknown review {review_id!r}")
+            raise DatasetError(
+                f"{where}: rating references unknown review {review_id!r}"
+            )
         if (member_id, review_id) in seen_pairs:
             continue  # keep the first occurrence, as the site would
         if skip_self_ratings and community.review_writer(review_id) == member_id:
             continue
         seen_pairs.add((member_id, review_id))
-        community.add_rating(ReviewRating(member_id, review_id, value))
+        try:
+            community.add_rating(ReviewRating(member_id, review_id, value))
+        except IntegrityError as exc:  # a kept self-rating
+            raise DatasetError(f"{where}: {exc}") from exc
 
     seen_trust: set[tuple[str, str]] = set()
     for source, target in trust_edges:
@@ -170,7 +187,9 @@ def write_epinions_files(
 # ------------------------------------------------------------------- parsing
 
 
-def _parse_content(path: str, separator: str) -> Iterable[tuple[str, str, str, str]]:
+def _parse_content(
+    path: str, separator: str
+) -> Iterable[tuple[int, str, str, str, str]]:
     for line_no, fields in _iter_fields(path, separator):
         if len(fields) == 3:
             review_id, author_id, subject_id = fields
@@ -181,15 +200,17 @@ def _parse_content(path: str, separator: str) -> Iterable[tuple[str, str, str, s
             raise DatasetError(
                 f"{path}:{line_no}: expected 3 or 4 fields, got {len(fields)}"
             )
-        yield review_id, author_id, subject_id, category
+        _require_ids(path, line_no, review_id, author_id, subject_id, category)
+        yield line_no, review_id, author_id, subject_id, category
 
 
-def _parse_ratings(path: str, separator: str) -> Iterable[tuple[str, str, float]]:
+def _parse_ratings(path: str, separator: str) -> Iterable[tuple[int, str, str, float]]:
     for line_no, fields in _iter_fields(path, separator):
         if len(fields) < 3:
             raise DatasetError(f"{path}:{line_no}: expected 3 fields, got {len(fields)}")
         review_id, member_id, raw = fields[:3]
-        yield review_id, member_id, _stars_to_scale(raw, path, line_no)
+        _require_ids(path, line_no, review_id, member_id)
+        yield line_no, review_id, member_id, _stars_to_scale(raw, path, line_no)
 
 
 def _parse_trust(path: str, separator: str) -> Iterable[tuple[str, str]]:
@@ -197,6 +218,7 @@ def _parse_trust(path: str, separator: str) -> Iterable[tuple[str, str]]:
         if len(fields) < 2:
             raise DatasetError(f"{path}:{line_no}: expected >=2 fields, got {len(fields)}")
         source, target = fields[:2]
+        _require_ids(path, line_no, source, target)
         value = fields[2].strip() if len(fields) >= 3 else "1"
         if value == "-1":
             continue  # distrust: outside the paper's model
@@ -204,12 +226,22 @@ def _parse_trust(path: str, separator: str) -> Iterable[tuple[str, str]]:
 
 
 def _iter_fields(path: str, separator: str):
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
+    with open(path, "rb") as f:
+        for line_no, raw in enumerate(f, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise DatasetError(
+                    f"{path}:{line_no}: not valid UTF-8 ({exc.reason})"
+                ) from exc
             if not line or line.startswith("#"):
                 continue
             yield line_no, [field.strip() for field in line.split(separator)]
+
+
+def _require_ids(path: str, line_no: int, *ids: str) -> None:
+    if not all(ids):
+        raise DatasetError(f"{path}:{line_no}: empty id field")
 
 
 def _stars_to_scale(raw: str, path: str, line_no: int) -> float:

@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from repro.common.errors import ValidationError
 from repro.common.rng import spawn_rng
-from repro.community import (
-    Community,
-    Review,
-    ReviewRating,
-    ReviewedObject,
-    TrustStatement,
-)
+from repro.community import Community, ReviewRating, TrustStatement
 
 __all__ = ["holdout_ratings"]
 
@@ -61,21 +55,15 @@ def holdout_ratings(
     held_out = [rating for i, rating in enumerate(ratings) if i in held_idx]
     kept = [rating for i, rating in enumerate(ratings) if i not in held_idx]
 
-    categories = [
-        (row["category_id"], row["name"] or "")
-        for row in community.database.table("categories").rows()
-    ]
     train = Community(community.name + "_train")
     for user_id in community.user_ids():
         train.add_user(user_id)
-    for category_id, name in categories:
-        train.add_category(category_id, name)
-    for row in community.database.table("objects").rows():
-        train.add_object(
-            ReviewedObject(row["object_id"], row["category_id"], row["title"] or "")
-        )
+    for category in community.iter_categories():
+        train.add_category(category)
+    for obj in community.iter_objects():
+        train.add_object(obj)
     for review in community.iter_reviews():
-        train.add_review(Review(review.review_id, review.writer_id, review.object_id))
+        train.add_review(review)
     for rating in kept:
         train.add_rating(rating)
     if keep_trust:

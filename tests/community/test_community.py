@@ -207,4 +207,42 @@ class TestBulkConstruction:
         }
 
     def test_database_integrity_clean(self, community):
-        assert community.database.verify_integrity() == []
+        objects = set(community.object_ids())
+        for review in community.iter_reviews():
+            assert community.has_user(review.writer_id)
+            assert review.object_id in objects
+        for rating in community.iter_ratings():
+            assert community.has_user(rating.rater_id)
+            assert community.review_writer(rating.review_id) != rating.rater_id
+        for truster, trustee in community.trust_edges():
+            assert community.has_user(truster) and community.has_user(trustee)
+
+
+class TestRecordIteration:
+    def test_iter_users_in_registration_order(self, community):
+        assert [user.user_id for user in community.iter_users()] == ["u1", "u2", "u3"]
+
+    def test_iter_categories_keep_names(self, community):
+        assert [(c.category_id, c.name) for c in community.iter_categories()] == [
+            ("c1", "movies"),
+            ("c2", "books"),
+        ]
+
+    def test_iter_objects_in_registration_order(self, community):
+        assert list(community.iter_objects()) == [
+            ReviewedObject("o1", "c1"),
+            ReviewedObject("o2", "c1"),
+            ReviewedObject("o3", "c2"),
+        ]
+
+    def test_records_after_returns_tails(self, community):
+        reviews, ratings = community.records_after(3, 2)
+        assert reviews == [(Review("r4", "u3", "o3"), "c2")]
+        assert ratings == [ReviewRating("u1", "r2", 0.6), ReviewRating("u2", "r4", 0.4)]
+
+    def test_records_after_full_and_empty(self, community):
+        reviews, ratings = community.records_after(0, 0)
+        assert [review for review, _ in reviews] == list(community.iter_reviews())
+        assert [category for _, category in reviews] == ["c1", "c1", "c1", "c2"]
+        assert ratings == list(community.iter_ratings())
+        assert community.records_after(4, 4) == ([], [])

@@ -2,26 +2,29 @@
 
 Invariant (satellite of the R1 lint rule): every successful ``add_*`` call
 bumps ``Community.version`` exactly once and the next ``columns()`` call
-reflects it; failed adds leave both untouched.  Mutations the snapshot
-encodes (users, categories, reviews, ratings) produce a new snapshot
-object; object/trust deltas are announced cache hits, because the
-columnar view does not encode them.  Bulk loads that insert through
-``community.database`` directly do not bump the version but are still
-caught by the row-count part of the cache key.
+reflects it; failed adds leave the records, the version, the change log
+and the cached snapshot untouched.  Mutations the snapshot encodes (users,
+categories, reviews, ratings) produce a new snapshot object, bitwise equal
+to a cold build; object/trust/touch deltas and change-log compaction are
+cache hits, because the columnar view encodes none of them.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.common.errors import IntegrityError
 from repro.community import (
     Community,
+    CommunityColumns,
     Review,
     ReviewRating,
     ReviewedObject,
     TrustStatement,
 )
+from repro.engine import extract_records
+from repro.obs.recorder import Recorder
 
 MUTATIONS = [
     ("add_user", lambda c: c.add_user("frank")),
@@ -56,13 +59,41 @@ class TestSingleMutators:
             assert rebuilt is cached
         assert two_category_community.columns() is rebuilt
 
-    def test_failed_add_review_leaves_state_alone(self, two_category_community):
-        cached = two_category_community.columns()
-        before = two_category_community.version
+    REJECTED = [
+        ("duplicate-user", lambda c: c.add_user("alice")),
+        ("duplicate-category", lambda c: c.add_category("movies")),
+        ("duplicate-object", lambda c: c.add_object(ReviewedObject("m1", "books"))),
+        ("object-unknown-category", lambda c: c.add_object(ReviewedObject("x", "no"))),
+        ("review-unknown-object", lambda c: c.add_review(Review("rx", "bob", "no"))),
+        ("duplicate-review", lambda c: c.add_review(Review("ra1", "carol", "m2"))),
+        ("review-unknown-writer", lambda c: c.add_review(Review("rx", "no", "m2"))),
+        ("second-review-of-object", lambda c: c.add_review(Review("rx", "alice", "m1"))),
+        ("rating-unknown-review", lambda c: c.add_rating(ReviewRating("bob", "no", 0.2))),
+        ("self-rating", lambda c: c.add_rating(ReviewRating("alice", "ra1", 1.0))),
+        ("duplicate-rating", lambda c: c.add_rating(ReviewRating("bob", "ra1", 0.2))),
+        ("rating-unknown-rater", lambda c: c.add_rating(ReviewRating("no", "ra1", 0.2))),
+        ("duplicate-trust", lambda c: c.add_trust(TrustStatement("bob", "alice"))),
+        ("trust-unknown-truster", lambda c: c.add_trust(TrustStatement("no", "bob"))),
+        ("trust-unknown-trustee", lambda c: c.add_trust(TrustStatement("bob", "no"))),
+    ]
+
+    @pytest.mark.parametrize(
+        "reject", [r for _, r in REJECTED], ids=[n for n, _ in REJECTED]
+    )
+    def test_failed_add_review_leaves_state_alone(self, two_category_community, reject):
+        community = two_category_community
+        cached = community.columns()
+        summary = community.summary()
+        records = extract_records(community)
+        version = community.version
+        epoch = community.change_log.epoch
         with pytest.raises(IntegrityError):
-            two_category_community.add_review(Review("rx", "bob", "no-such-object"))
-        assert two_category_community.version == before
-        assert two_category_community.columns() is cached
+            reject(community)
+        assert community.summary() == summary
+        assert extract_records(community) == records
+        assert community.version == version
+        assert community.change_log.epoch == epoch
+        assert community.columns() is cached
 
     def test_failed_self_rating_leaves_state_alone(self, two_category_community):
         cached = two_category_community.columns()
@@ -73,39 +104,32 @@ class TestSingleMutators:
         assert two_category_community.columns() is cached
 
 
-class TestDirectDatabaseInserts:
-    """Bulk loads bypassing add_* must still invalidate the columnar view."""
-
-    def test_user_insert_is_caught_by_row_counts(self, two_category_community):
-        community = two_category_community
-        cached = community.columns()
-        version = community.version
-        community.database.insert("users", {"user_id": "zed", "name": ""})
-        assert community.version == version  # no bump: this is the raw store
-        rebuilt = community.columns()
-        assert rebuilt is not cached
-        assert "zed" in rebuilt.users
-
-    def test_rating_insert_is_caught_by_row_counts(self, two_category_community):
-        community = two_category_community
-        cached = community.columns()
-        community.database.insert(
-            "ratings",
-            {
-                "rater_id": "eve",
-                "review_id": "ra1",
-                "category_id": "movies",
-                "value": 0.7,
-            },
-        )
-        rebuilt = community.columns()
-        assert rebuilt is not cached
-        assert rebuilt.num_ratings == cached.num_ratings + 1
+def test_compaction_refreshes_instead_of_rebuilding(two_category_community):
+    community = two_category_community
+    community.columns()
+    recorder = Recorder()
+    with obs.use_recorder(recorder):
+        community.add_rating(ReviewRating("carol", "ra1", 0.2))
+        community.change_log.compact()
+        community.columns()
+    assert recorder.counters.get("community.columns.refresh") == 1
+    assert "community.columns.miss" not in recorder.counters
+    assert "community.columns.invalidated" not in recorder.counters
 
 
 # ----------------------------------------------------------------- property test
 
-OPS = ("user", "category", "object", "review", "rating", "trust")
+OPS = (
+    "user",
+    "category",
+    "object",
+    "review",
+    "rating",
+    "rerating",
+    "trust",
+    "touch",
+    "compact",
+)
 
 
 class MutationDriver:
@@ -165,12 +189,50 @@ class MutationDriver:
             rater, n = self._fresh_user()  # fresh id, never the writer
             community.add_rating(ReviewRating(rater, review_id, 0.6))
             return adds + n + 1
+        if op == "rerating":
+            # a fresh rater on the oldest review: the ratings-only refresh
+            if not self.counters["review"]:
+                return self.apply("rating")
+            rater, n = self._fresh_user()
+            community.add_rating(ReviewRating(rater, "review1", 0.8))
+            return n + 1
         if op == "trust":
             truster, n1 = self._fresh_user()
             trustee, n2 = self._fresh_user()
             community.add_trust(TrustStatement(truster, trustee))
             return n1 + n2 + 1
+        if op == "touch":
+            community.touch()
+            return 1
+        if op == "compact":
+            community.change_log.compact()
+            return 0
         raise AssertionError(op)
+
+
+_COLUMN_ARRAYS = (
+    "review_writer_idx",
+    "review_category_idx",
+    "review_cat_starts",
+    "rater_idx",
+    "rating_review_idx",
+    "rating_category_idx",
+    "rating_values",
+    "srt_rater_idx",
+    "srt_review_idx",
+    "srt_values",
+    "rating_cat_starts",
+)
+
+
+def assert_columns_bitwise_equal(got, want):
+    assert got.users == want.users
+    assert got.categories == want.categories
+    assert got.review_ids == want.review_ids
+    for name in _COLUMN_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def _encoded_counts(community):
@@ -191,15 +253,14 @@ def test_version_counts_successful_adds_and_columns_never_stale(ops):
         before = driver.community.version
         counts = _encoded_counts(driver.community)
         adds = driver.apply(op)
-        assert adds >= 1
         assert driver.community.version == before + adds
         rebuilt = driver.community.columns()
         if _encoded_counts(driver.community) != counts:
             assert rebuilt is not cached
         else:
-            # pure object/trust growth: announced deltas, cache hit
+            # object/trust/touch growth or a compaction: cache hit
             assert rebuilt is cached
-        assert len(rebuilt.users) == driver.community.num_users()
-        assert rebuilt.num_reviews == driver.community.num_reviews()
-        assert rebuilt.num_ratings == driver.community.num_ratings()
+        assert_columns_bitwise_equal(
+            rebuilt, CommunityColumns.from_community(driver.community)
+        )
         assert driver.community.columns() is rebuilt

@@ -1,6 +1,7 @@
 """Tests for the extended-Epinions-format loaders."""
 
 import os
+import re
 
 import pytest
 
@@ -147,6 +148,46 @@ class TestDirtyData:
         write(tmp_path / "user_rating.txt", ["bob|bob|1", "bob|alice|1"])
         community = load_epinions_community(str(tmp_path))
         assert community.trust_edges() == [("bob", "alice")]
+
+
+#: (file, lines, bad line, loader options): each dump breaks exactly one
+#: rule of the format, on the given line of the given file
+MALFORMED = [
+    pytest.param("mc.txt", ["r1|alice|m1|c", "r1|bob|m2|c"], 2, {}, id="duplicate-review-id"),
+    pytest.param(
+        "mc.txt", ["r1|alice|m1|c", "r2|alice|m1|c"], 2, {}, id="second-review-of-object"
+    ),
+    pytest.param(
+        "mc.txt", ["r1|alice|m1|c", "r2|bob|m1|d"], 2, {}, id="object-in-two-categories"
+    ),
+    pytest.param("mc.txt", ["r1|alice|m1|c", "r2||m1|c"], 2, {}, id="empty-content-id"),
+    pytest.param("rating.txt", ["r1|bob|3", "r1||3"], 2, {}, id="empty-rating-id"),
+    pytest.param("user_rating.txt", ["bob|alice|1", "|alice|1"], 2, {}, id="empty-trust-id"),
+    pytest.param("mc.txt", ["r1|alice|m1|c", b"r2|b\xffb|m1|c"], 2, {}, id="non-utf8"),
+    pytest.param(
+        "rating.txt",
+        ["r1|bob|3", "ghost|bob|3"],
+        2,
+        {"skip_unknown_reviews": False},
+        id="unknown-review-strict",
+    ),
+]
+
+
+@pytest.mark.parametrize("bad_file,lines,line_no,options", MALFORMED)
+def test_malformed_dump_names_path_and_line(tmp_path, bad_file, lines, line_no, options):
+    files = {
+        "mc.txt": ["r1|alice|m1|c"],
+        "rating.txt": ["r1|bob|3"],
+        "user_rating.txt": ["bob|alice|1"],
+    }
+    files[bad_file] = lines
+    for file_name, content in files.items():
+        raw = [line if isinstance(line, bytes) else line.encode() for line in content]
+        (tmp_path / file_name).write_bytes(b"\n".join(raw) + b"\n")
+    where = f"{tmp_path / bad_file}:{line_no}:"
+    with pytest.raises(DatasetError, match=re.escape(where)):
+        load_epinions_community(str(tmp_path), **options)
 
 
 class TestRoundTrip:

@@ -33,7 +33,6 @@ class TestHoldoutRatings:
         assert train.num_users() == dataset.community.num_users()
         assert train.num_reviews() == dataset.community.num_reviews()
         assert train.num_trust_edges() == dataset.community.num_trust_edges()
-        assert train.database.verify_integrity() == []
 
     def test_held_out_reviews_exist_in_train(self, dataset):
         train, held = holdout_ratings(dataset.community, 0.25, seed=2)

@@ -49,10 +49,7 @@ class TestStructure:
         assert len(dataset.community.object_ids()) == 4 * 25
 
     def test_category_names_applied(self, dataset):
-        names = {
-            row["name"]
-            for row in dataset.community.database.table("categories").rows()
-        }
+        names = {category.name for category in dataset.community.iter_categories()}
         assert names == {"movies", "books", "music", "games"}
 
     def test_reviews_and_ratings_exist(self, dataset):
@@ -63,7 +60,16 @@ class TestStructure:
         assert dataset.community.num_trust_edges() > 0
 
     def test_integrity_holds(self, dataset):
-        assert dataset.community.database.verify_integrity() == []
+        community = dataset.community
+        objects = set(community.object_ids())
+        for review in community.iter_reviews():
+            assert community.has_user(review.writer_id)
+            assert review.object_id in objects
+        for rating in community.iter_ratings():
+            assert community.has_user(rating.rater_id)
+            assert community.review_writer(rating.review_id) != rating.rater_id
+        for truster, trustee in community.trust_edges():
+            assert community.has_user(truster) and community.has_user(trustee)
 
     def test_designations_sized_and_distinct(self, dataset):
         assert len(dataset.advisors) == SMALL.num_advisors
@@ -161,7 +167,6 @@ class TestSmallPopulations:
         )
         ds = generate_community(profile, seed=3)
         assert ds.community.num_users() == 2
-        assert ds.community.database.verify_integrity() == []
 
     def test_designations_capped_by_active_users(self):
         profile = CommunityProfile(

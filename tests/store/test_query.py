@@ -1,116 +1,90 @@
-"""Tests for the lazy Query layer."""
+"""Tests for a Community's category-, writer- and rater-scoped reads."""
 
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.store import Column, Query, Schema, Table
+from repro.community import Community, Review, ReviewRating, ReviewedObject
 
 
 @pytest.fixture
 def reviews():
-    table = Table(
-        Schema(
-            name="reviews",
-            columns=[
-                Column("review_id", str),
-                Column("writer_id", str),
-                Column("category_id", str),
-                Column("quality", float),
-            ],
-            primary_key=("review_id",),
-        )
-    )
+    """Five reviews over two categories, each rated once by ``rater``."""
     rows = [
-        ("r1", "u1", "c1", 0.9),
+        ("r1", "u1", "c1", 1.0),
         ("r2", "u1", "c2", 0.4),
-        ("r3", "u2", "c1", 0.7),
+        ("r3", "u2", "c1", 0.8),
         ("r4", "u3", "c1", 0.2),
         ("r5", "u2", "c2", 0.6),
     ]
+    c = Community("query")
+    for user in ("u1", "u2", "u3", "rater"):
+        c.add_user(user)
+    c.add_category("c1")
+    c.add_category("c2")
     for review_id, writer, category, quality in rows:
-        table.insert(
-            {
-                "review_id": review_id,
-                "writer_id": writer,
-                "category_id": category,
-                "quality": quality,
-            }
-        )
-    return table
+        object_id = f"o-{review_id}"
+        c.add_object(ReviewedObject(object_id, category))
+        c.add_review(Review(review_id, writer, object_id))
+        c.add_rating(ReviewRating("rater", review_id, quality))
+    return c
+
+
+def ids(reviews):
+    return [review.review_id for review in reviews]
 
 
 class TestWhere:
     def test_single_filter(self, reviews):
-        result = Query(reviews).where(category_id="c1").all()
-        assert {r["review_id"] for r in result} == {"r1", "r3", "r4"}
+        assert set(ids(reviews.reviews_in_category("c1"))) == {"r1", "r3", "r4"}
 
     def test_chained_filters_and(self, reviews):
-        result = Query(reviews).where(category_id="c1").where(writer_id="u2").all()
-        assert [r["review_id"] for r in result] == ["r3"]
+        assert reviews.reviews_by_writer("u2", category_id="c1") == ["r3"]
 
     def test_where_unknown_column(self, reviews):
-        with pytest.raises(ValidationError):
-            Query(reviews).where(ghost=1)
+        with pytest.raises(ValidationError, match="unknown category"):
+            reviews.reviews_in_category("ghost")
 
     def test_builder_does_not_mutate_parent(self, reviews):
-        base = Query(reviews).where(category_id="c1")
-        _ = base.where(writer_id="u2")
-        assert len(base.all()) == 3
+        # a category-scoped read must not narrow the writer's own list
+        assert reviews.reviews_by_writer("u2", category_id="c1") == ["r3"]
+        assert reviews.reviews_by_writer("u2") == ["r3", "r5"]
+        assert reviews.ratings_by_rater("rater", category_id="c2") == [
+            ("r2", 0.4),
+            ("r5", 0.6),
+        ]
+        assert len(reviews.ratings_by_rater("rater")) == 5
 
 
 class TestFilterOrderLimit:
-    def test_predicate_filter(self, reviews):
-        result = Query(reviews).filter(lambda r: r["quality"] >= 0.6).all()
-        assert {r["review_id"] for r in result} == {"r1", "r3", "r5"}
-
     def test_order_by_ascending(self, reviews):
-        result = Query(reviews).order_by("quality").values("review_id")
-        assert result == ["r4", "r2", "r5", "r3", "r1"]
-
-    def test_order_by_descending(self, reviews):
-        result = Query(reviews).order_by("quality", descending=True).values("review_id")
-        assert result == ["r1", "r3", "r5", "r2", "r4"]
-
-    def test_limit(self, reviews):
-        result = Query(reviews).order_by("quality", descending=True).limit(2).all()
-        assert [r["review_id"] for r in result] == ["r1", "r3"]
-
-    def test_limit_zero(self, reviews):
-        assert Query(reviews).limit(0).all() == []
-
-    def test_negative_limit_rejected(self, reviews):
-        with pytest.raises(ValidationError):
-            Query(reviews).limit(-1)
+        # category reads keep insertion order, also after a refresh
+        assert ids(reviews.reviews_in_category("c1")) == ["r1", "r3", "r4"]
+        reviews.add_object(ReviewedObject("o-r6", "c1"))
+        reviews.add_review(Review("r6", "u1", "o-r6"))
+        assert ids(reviews.reviews_in_category("c1")) == ["r1", "r3", "r4", "r6"]
+        assert ids(reviews.reviews_in_category("c2")) == ["r2", "r5"]
 
 
 class TestTerminals:
     def test_first(self, reviews):
-        row = Query(reviews).where(writer_id="u2").order_by("quality").first()
-        assert row["review_id"] == "r5"
+        assert reviews.reviews_by_writer("u2")[0] == "r3"
 
     def test_first_empty(self, reviews):
-        assert Query(reviews).where(writer_id="ghost-free").first() is None
+        assert reviews.reviews_by_writer("rater") == []
+        assert reviews.ratings_by_rater("u1") == []
 
     def test_count_fast_path_matches_slow_path(self, reviews):
-        fast = Query(reviews).where(category_id="c1").count()
-        slow = Query(reviews).where(category_id="c1").filter(lambda r: True).count()
-        assert fast == slow == 3
-
-    def test_count_respects_limit(self, reviews):
-        assert Query(reviews).limit(2).count() == 2
+        fast = reviews.num_reviews("c1")
+        listed = len(reviews.reviews_in_category("c1"))
+        scan = sum(
+            1 for r in reviews.iter_reviews() if reviews.review_category(r.review_id) == "c1"
+        )
+        assert fast == listed == scan == 3
 
     def test_select_projection(self, reviews):
-        rows = Query(reviews).where(writer_id="u1").select("review_id").all()
-        assert all(set(r) == {"review_id"} for r in rows)
-
-    def test_select_unknown_column(self, reviews):
-        with pytest.raises(ValidationError):
-            Query(reviews).select("ghost")
+        assert reviews.ratings_of_review("r1") == [("rater", 1.0)]
+        assert reviews.rating_triples("c2") == [("rater", "r2", 0.4), ("rater", "r5", 0.6)]
 
     def test_values(self, reviews):
-        values = Query(reviews).where(category_id="c2").order_by("quality").values("quality")
+        values = sorted(value for _, _, value in reviews.rating_triples("c2"))
         assert values == [0.4, 0.6]
-
-    def test_values_ignores_projection(self, reviews):
-        q = Query(reviews).select("review_id")
-        assert sorted(q.values("writer_id")) == ["u1", "u1", "u2", "u2", "u3"]
