@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Callable
 
 from repro import obs
+from repro.common.errors import ReproError
 from repro.datasets import (
     dataset_stats,
     generate_community,
@@ -97,10 +99,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_source_args(update)
     update.add_argument(
-        "--stream", type=int, default=50, help="ratings to withhold and replay"
+        "--stream",
+        type=_int_at_least(0),
+        default=50,
+        help="ratings to withhold and replay",
     )
     update.add_argument(
-        "--batch", type=int, default=10, help="ratings applied per engine update"
+        "--batch",
+        type=_int_at_least(1),
+        default=10,
+        help="ratings applied per engine update",
     )
     update.add_argument(
         "--skip-verify",
@@ -120,6 +128,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type`` accepting integers ``>= minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
+
+
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--users", type=int, default=1200, help="community size")
     parser.add_argument("--seed", type=int, default=EXPERIMENT_SEED, help="random seed")
@@ -137,18 +158,27 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    Bad input (a malformed dataset, an invalid value) ends with one
+    ``repro-trust: error: ...`` line on stderr and exit code 2, the same
+    code argparse uses for bad arguments.
+    """
     args = build_parser().parse_args(argv)
     trace_path: str | None = getattr(args, "trace", None)
-    if trace_path is None:
-        return _run(args)
+    try:
+        if trace_path is None:
+            return _run(args)
 
-    recorder = obs.Recorder()
-    with obs.use_recorder(recorder):
-        code = _run(args)
-    recorder.write(trace_path)
-    print(f"wrote trace to {trace_path}", file=sys.stderr)
-    return code
+        recorder = obs.Recorder()
+        with obs.use_recorder(recorder):
+            code = _run(args)
+        recorder.write(trace_path)
+        print(f"wrote trace to {trace_path}", file=sys.stderr)
+        return code
+    except ReproError as exc:
+        print(f"repro-trust: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def _run(args: argparse.Namespace) -> int:
@@ -251,8 +281,8 @@ def _run_update(args: argparse.Namespace, out) -> int:
     )
 
     rows = []
-    for start in range(0, len(stream), max(1, args.batch)):
-        for rating in stream[start : start + max(1, args.batch)]:
+    for start in range(0, len(stream), args.batch):
+        for rating in stream[start : start + args.batch]:
             base.add_rating(rating)
         engine.update()
         stats = engine.last_stats

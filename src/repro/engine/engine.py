@@ -486,9 +486,11 @@ def cold_artifacts(
     """One cold, cache-free pipeline pass -- the engine's reference output.
 
     Deliberately built from the batch estimators rather than the engine's
-    own machinery, so a bitwise comparison against :meth:`Engine.update`
-    also re-proves the per-category/batched Step-1 equivalence on the
-    community at hand.
+    own caches and patches.  Step 1 runs the same solver the engine's
+    tracker runs (:func:`repro.reputation.solve_all_categories`), so a
+    comparison against :meth:`Engine.update` does not check that solver;
+    :func:`repro.perf.reference.reference_fit_expertise` is the
+    independent oracle for it.
     """
     expertise_result = ExpertiseEstimator(
         riggs_config, unrated_policy=unrated_policy

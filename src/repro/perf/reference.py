@@ -3,7 +3,11 @@
 These are verbatim ports of the pre-kernel-layer code: numerically cheap
 numpy work whose results are materialised through per-entry Python calls
 (``UserPairMatrix.set`` / ``UserCategoryMatrix.set`` per element, label
-lookups per entry, dense edge loops).  They exist for two reasons:
+lookups per entry, dense edge loops).  :func:`reference_solve_category` is
+the triple-based RIGGS solver with its own sweep loop, copied verbatim
+(only the function names changed) from the last release that had one, so
+the production solver is checked against an independent implementation.  They exist for two
+reasons:
 
 - **equivalence testing** -- the vectorised kernels must produce identical
   results (see ``tests/trust/test_kernel_equivalence.py``);
@@ -15,18 +19,23 @@ Do not optimise this module; it is the baseline.
 
 from __future__ import annotations
 
+from typing import Iterable, Mapping, Sequence
+
 import numpy as np
 
-from repro.common.errors import ConvergenceError
+from repro import obs
+from repro.common.arrays import FloatArray, IntArray
+from repro.common.errors import ConvergenceError, ValidationError
 from repro.community import Community
 from repro.matrix import LabelIndex, UserCategoryMatrix, UserPairMatrix
 from repro.reputation.estimator import ExpertiseResult
-from repro.reputation.riggs import CategoryFixedPoint, RiggsConfig, solve_category
+from repro.reputation.riggs import CategoryFixedPoint, RiggsConfig, experience_discount
 from repro.reputation.writer import writer_reputations
 
 __all__ = [
     "reference_derive_trust",
     "reference_fit_expertise",
+    "reference_solve_category",
     "reference_eigen_trust",
 ]
 
@@ -89,7 +98,9 @@ def reference_fit_expertise(
     fixed_points: dict[str, CategoryFixedPoint] = {}
 
     for category_id in categories:
-        fixed_point = solve_category(community.rating_triples(category_id), config)
+        fixed_point = reference_solve_category(
+            community.rating_triples(category_id), config
+        )
         fixed_points[category_id] = fixed_point
         for rater_id, value in fixed_point.rater_reputation.items():
             rater_rep.set(rater_id, category_id, value)
@@ -110,6 +121,181 @@ def reference_fit_expertise(
     return ExpertiseResult(
         expertise=expertise, rater_reputation=rater_rep, fixed_points=fixed_points
     )
+
+
+def reference_solve_category(
+    ratings: Iterable[tuple[str, str, float]],
+    config: RiggsConfig | None = None,
+    *,
+    warm_start: Mapping[str, float] | None = None,
+) -> CategoryFixedPoint:
+    """Solve eqs. 1-2 for one category.
+
+    Parameters
+    ----------
+    ratings:
+        ``(rater_id, review_id, value)`` triples -- every helpfulness rating
+        given in the category.  Values must lie in ``[0, 1]``; a
+        ``(rater, review)`` pair may appear at most once.
+    config:
+        Solver configuration (defaults to :class:`RiggsConfig`).
+    warm_start:
+        Optional ``{rater_id: reputation}`` starting point (e.g. the
+        previous fixed point, for incremental recomputation after a few
+        new ratings).  Raters absent from the mapping start at
+        ``config.initial_reputation``; values are clipped to ``[0, 1]``.
+
+    Returns
+    -------
+    CategoryFixedPoint
+        Converged qualities (one per rated review) and reputations (one per
+        active rater).
+
+    Raises
+    ------
+    ConvergenceError
+        If ``config.max_iterations`` sweeps do not reach ``tolerance``.
+    ValidationError
+        On malformed input (duplicate pairs, out-of-range values).
+    """
+    cfg = config or RiggsConfig()
+    triples = list(ratings)
+    if not triples:
+        return CategoryFixedPoint(
+            review_quality={}, rater_reputation={}, iterations=0, residual=0.0
+        )
+
+    rater_ids, review_ids, rater_idx, review_idx, values = _index_triples(triples)
+    num_raters = len(rater_ids)
+    num_reviews = len(review_ids)
+
+    counts = np.bincount(rater_idx, minlength=num_raters).astype(np.float64)
+    if cfg.experience_discount_enabled:
+        discount = experience_discount(counts)
+    else:
+        discount = np.ones(num_raters, dtype=np.float64)
+
+    reputation = np.full(num_raters, cfg.initial_reputation, dtype=np.float64)
+    if warm_start:
+        warm_hits = 0
+        for i, rater_id in enumerate(rater_ids):
+            previous = warm_start.get(rater_id)
+            if previous is not None:
+                reputation[i] = min(1.0, max(0.0, float(previous)))
+                warm_hits += 1
+        obs.add("step1.warm_start_hits", warm_hits)
+    quality = np.zeros(num_reviews, dtype=np.float64)
+
+    iterations = 0
+    residual = np.inf
+    for iterations in range(1, cfg.max_iterations + 1):
+        new_quality = _update_quality(
+            reputation, rater_idx, review_idx, values, num_reviews, cfg
+        )
+        new_reputation = _update_reputation(
+            new_quality, rater_idx, review_idx, values, counts, discount
+        )
+        if cfg.damping > 0.0:
+            new_reputation = (
+                cfg.damping * reputation + (1.0 - cfg.damping) * new_reputation
+            )
+        residual = max(
+            float(np.max(np.abs(new_quality - quality))),
+            float(np.max(np.abs(new_reputation - reputation))),
+        )
+        quality = new_quality
+        reputation = new_reputation
+        if residual < cfg.tolerance:
+            break
+    else:
+        raise ConvergenceError(
+            f"Riggs fixed point did not converge in {cfg.max_iterations} sweeps "
+            f"(residual {residual:.3e} > tolerance {cfg.tolerance:.3e})",
+            iterations=cfg.max_iterations,
+            residual=float(residual),
+            tolerance=cfg.tolerance,
+        )
+
+    return CategoryFixedPoint(
+        review_quality={review_ids[j]: float(quality[j]) for j in range(num_reviews)},
+        rater_reputation={rater_ids[i]: float(reputation[i]) for i in range(num_raters)},
+        iterations=iterations,
+        residual=float(residual),
+        rating_counts={rater_ids[i]: int(counts[i]) for i in range(num_raters)},
+    )
+
+
+def _index_triples(
+    triples: Sequence[tuple[str, str, float]],
+) -> tuple[list[str], list[str], IntArray, IntArray, FloatArray]:
+    rater_pos: dict[str, int] = {}
+    review_pos: dict[str, int] = {}
+    seen_pairs: set[tuple[str, str]] = set()
+    rater_idx = np.empty(len(triples), dtype=np.int64)
+    review_idx = np.empty(len(triples), dtype=np.int64)
+    values = np.empty(len(triples), dtype=np.float64)
+    for k, (rater, review, value) in enumerate(triples):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValidationError(f"rating value must be a number, got {value!r}")
+        if not 0.0 <= float(value) <= 1.0:
+            raise ValidationError(f"rating value must lie in [0, 1], got {value!r}")
+        pair = (rater, review)
+        if pair in seen_pairs:
+            raise ValidationError(f"duplicate rating for pair {pair!r}")
+        seen_pairs.add(pair)
+        rater_idx[k] = rater_pos.setdefault(rater, len(rater_pos))
+        review_idx[k] = review_pos.setdefault(review, len(review_pos))
+        values[k] = float(value)
+    return (
+        list(rater_pos),
+        list(review_pos),
+        rater_idx,
+        review_idx,
+        values,
+    )
+
+
+def _update_quality(
+    reputation: FloatArray,
+    rater_idx: IntArray,
+    review_idx: IntArray,
+    values: FloatArray,
+    num_reviews: int,
+    cfg: RiggsConfig,
+) -> FloatArray:
+    """Eq. 1: reputation-weighted mean rating per review."""
+    if cfg.weight_by_rater_reputation:
+        weights = reputation[rater_idx]
+    else:
+        weights = np.ones_like(values)
+    weighted_sum = np.bincount(review_idx, weights=weights * values, minlength=num_reviews)
+    weight_sum = np.bincount(review_idx, weights=weights, minlength=num_reviews)
+    plain_sum = np.bincount(review_idx, weights=values, minlength=num_reviews)
+    plain_count = np.bincount(review_idx, minlength=num_reviews).astype(np.float64)
+    # A review whose raters all have reputation 0 falls back to the plain
+    # mean -- eq. 1 is 0/0 there and the paper leaves it undefined.
+    safe = weight_sum > 0.0
+    quality = np.where(
+        safe,
+        np.divide(weighted_sum, np.where(safe, weight_sum, 1.0)),
+        plain_sum / np.maximum(plain_count, 1.0),
+    )
+    return np.clip(quality, 0.0, 1.0)
+
+
+def _update_reputation(
+    quality: FloatArray,
+    rater_idx: IntArray,
+    review_idx: IntArray,
+    values: FloatArray,
+    counts: FloatArray,
+    discount: FloatArray,
+) -> FloatArray:
+    """Eq. 2: activity-discounted (1 - mean absolute deviation)."""
+    deviations = np.abs(quality[review_idx] - values)
+    total_dev = np.bincount(rater_idx, weights=deviations, minlength=len(counts))
+    mad = total_dev / counts
+    return np.clip(discount * (1.0 - mad), 0.0, 1.0)
 
 
 def reference_eigen_trust(

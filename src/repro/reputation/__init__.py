@@ -9,17 +9,20 @@ Per category, the package computes three mutually-dependent quantities:
 - **writer reputation / expertise** -- the mean quality of a writer's
   reviews in the category, discounted for low writing activity (eq. 3).
 
-Qualities and rater reputations are solved together as a fixed point
-(:func:`solve_category`); writer reputations follow in one pass
-(:func:`writer_reputations`); :class:`ExpertiseEstimator` orchestrates all
-categories of a :class:`repro.community.Community` into the paper's
+Qualities and rater reputations are solved together as a fixed point by
+one batched solver, :func:`solve_all_categories`, which sweeps every
+category (or a chosen few) at once on a community's columnar ratings;
+:func:`solve_category` is its one-category form for ``(rater, review,
+value)`` triples.  Writer reputations follow in one pass
+(:func:`writer_reputation_matrix`).  :class:`ExpertiseEstimator` (a cold
+fit) and :class:`IncrementalExpertise` (re-solving only the categories new
+data touched) both run that solver and assemble the paper's
 Users_Category Expertise matrix ``E``.
 """
 
 from repro.reputation.estimator import ExpertiseEstimator, ExpertiseResult
 from repro.reputation.incremental import IncrementalExpertise
 from repro.reputation.riggs import (
-    ArrayFixedPoint,
     BatchedFixedPoints,
     CategoryFixedPoint,
     LazyFixedPoints,
@@ -27,18 +30,15 @@ from repro.reputation.riggs import (
     experience_discount,
     solve_all_categories,
     solve_category,
-    solve_category_arrays,
 )
 from repro.reputation.writer import writer_reputation_matrix, writer_reputations
 
 __all__ = [
     "RiggsConfig",
     "CategoryFixedPoint",
-    "ArrayFixedPoint",
     "BatchedFixedPoints",
     "LazyFixedPoints",
     "solve_category",
-    "solve_category_arrays",
     "solve_all_categories",
     "experience_discount",
     "writer_reputations",

@@ -9,38 +9,29 @@ writer aggregation for every category of a community and assembles:
   Table 2 evaluates;
 - per-category review qualities and convergence diagnostics.
 
-By default the whole Step 1 runs on the community's columnar view: one
+Step 1 runs on the community's columnar view: one
 :func:`repro.reputation.riggs.solve_all_categories` call sweeps every
 category's fixed point simultaneously and both matrices are scattered
 straight from the slot arrays -- no per-category Python materialisation.
-The per-category fixed points stay independent, so a thread pool
-(``n_jobs > 1``) remains available for very large communities, as does
-serial warm-start chaining (``reuse_warm_start=True``); both fall back to
-per-category :func:`repro.reputation.riggs.solve_category` calls.
 """
 
 # repro: hot-path
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
-import numpy as np
-
 from repro import obs
-from repro.common.validation import require_positive
 from repro.community import Community
-from repro.matrix import LabelIndex, UserCategoryMatrix
+from repro.matrix import UserCategoryMatrix
 from repro.reputation.riggs import (
     CategoryFixedPoint,
     LazyFixedPoints,
     RiggsConfig,
     solve_all_categories,
-    solve_category,
 )
-from repro.reputation.writer import writer_reputation_matrix, writer_reputations
+from repro.reputation.writer import writer_reputation_matrix
 
 __all__ = ["ExpertiseEstimator", "ExpertiseResult"]
 
@@ -59,8 +50,8 @@ class ExpertiseResult:
         nothing in the category.
     fixed_points:
         The raw per-category solver output (qualities, reputations,
-        iteration counts).  A mapping; the batched path supplies a lazy
-        view that materialises each category's dicts on first access.
+        iteration counts): a lazy mapping that materialises each
+        category's dicts on first access.
     """
 
     expertise: UserCategoryMatrix
@@ -84,17 +75,7 @@ class ExpertiseEstimator:
     config:
         Fixed-point configuration shared by all categories.
     unrated_policy:
-        Passed to :func:`repro.reputation.writer.writer_reputations`.
-    n_jobs:
-        Number of worker threads for the per-category solves.  The default
-        ``1`` uses the batched multi-category solver (fastest); categories
-        are independent fixed points, so any value is numerically safe.
-    reuse_warm_start:
-        When ``True`` (serial mode only), each category's solve is seeded
-        with the rater reputations converged so far -- raters active in
-        several categories start near their typical reputation, cutting
-        sweeps on overlapping communities.  The fixed point is the same up
-        to solver tolerance.
+        Passed to :func:`repro.reputation.writer.writer_reputation_matrix`.
 
     Example
     -------
@@ -109,177 +90,38 @@ class ExpertiseEstimator:
         config: RiggsConfig | None = None,
         *,
         unrated_policy: str = "exclude",
-        n_jobs: int = 1,
-        reuse_warm_start: bool = False,
     ) -> None:
-        require_positive("n_jobs", n_jobs)
         self.config = config or RiggsConfig()
         self.unrated_policy = unrated_policy
-        self.n_jobs = n_jobs
-        self.reuse_warm_start = reuse_warm_start
 
-    def fit(
-        self,
-        community: Community,
-        *,
-        warm_start: Mapping[str, float] | None = None,
-    ) -> ExpertiseResult:
-        """Run Step 1 on ``community`` and return all reputation artefacts.
+    def fit(self, community: Community) -> ExpertiseResult:
+        """Run Step 1 on ``community`` and return all reputation artefacts."""
+        with obs.span("step1.fit", users=community.num_users()):
+            columns = community.columns()
+            users = columns.users
+            categories = columns.categories
+            batch = solve_all_categories(columns, self.config)
 
-        Parameters
-        ----------
-        warm_start:
-            Optional ``{rater_id: reputation}`` seed for every category's
-            solve (e.g. a previous fit on a slightly older community).
-        """
-        if self.n_jobs == 1 and not self.reuse_warm_start:
-            with obs.span("step1.fit", mode="batched", users=community.num_users()):
-                return self._fit_batched(community, warm_start)
-
-        with obs.span(
-            "step1.fit",
-            mode="per-category",
-            users=community.num_users(),
-            n_jobs=self.n_jobs,
-        ):
-            return self._fit_per_category(community, warm_start)
-
-    def _fit_per_category(
-        self,
-        community: Community,
-        warm_start: Mapping[str, float] | None,
-    ) -> ExpertiseResult:
-        """Step 1 via per-category solves (thread pool / warm-start modes)."""
-        users = LabelIndex(community.user_ids())
-        categories = LabelIndex(community.category_ids())
-        expertise = UserCategoryMatrix(users, categories)
-        rater_rep = UserCategoryMatrix(users, categories)
-
-        fixed_points = self._solve_all(community, categories, warm_start)
-
-        for category_id, fixed_point in fixed_points.items():
-            if fixed_point.rater_reputation:
-                rater_rep.set_column(
-                    category_id,
-                    fixed_point.rater_reputation.keys(),
-                    np.fromiter(
-                        fixed_point.rater_reputation.values(),
-                        dtype=np.float64,
-                        count=len(fixed_point.rater_reputation),
-                    ),
-                )
-
-            review_writers = {
-                review.review_id: review.writer_id
-                for review in community.reviews_in_category(category_id)
-            }
-            writers = writer_reputations(
-                review_writers,
-                fixed_point.review_quality,
-                experience_discount_enabled=self.config.experience_discount_enabled,
-                unrated_policy=self.unrated_policy,
+            rater_rep = UserCategoryMatrix(users, categories)
+            rater_rep.set_entries(
+                batch.rater_slot_user, batch.rater_slot_category_idx, batch.reputation
             )
-            if writers:
-                expertise.set_column(
-                    category_id,
-                    writers.keys(),
-                    np.fromiter(writers.values(), dtype=np.float64, count=len(writers)),
-                )
-
-        return ExpertiseResult(
-            expertise=expertise, rater_reputation=rater_rep, fixed_points=fixed_points
-        )
-
-    def _fit_batched(
-        self,
-        community: Community,
-        warm_start: Mapping[str, float] | None,
-    ) -> ExpertiseResult:
-        """Step 1 on the columnar plane: one batched solve, array assembly.
-
-        Numerically identical to the per-category path -- the batched
-        solver's sweeps are bitwise equivalent to :func:`solve_category`
-        and both matrices are scattered from the same slot arrays.
-        """
-        columns = community.columns()
-        users = columns.users
-        categories = columns.categories
-        batch = solve_all_categories(columns, self.config, warm_start=warm_start)
-
-        rater_rep = UserCategoryMatrix(users, categories)
-        rater_rep.set_entries(
-            batch.rater_slot_user, batch.rater_slot_category_idx, batch.reputation
-        )
-        expertise = UserCategoryMatrix(
-            users,
-            categories,
-            writer_reputation_matrix(
-                columns.review_writer_idx,
-                columns.review_category_idx,
-                len(users),
-                len(categories),
-                batch.rated_review_idx,
-                batch.quality,
-                experience_discount_enabled=self.config.experience_discount_enabled,
-                unrated_policy=self.unrated_policy,
-            ),
-        )
-        return ExpertiseResult(
-            expertise=expertise,
-            rater_reputation=rater_rep,
-            fixed_points=LazyFixedPoints(batch),
-        )
-
-    def _solve_all(
-        self,
-        community: Community,
-        categories: LabelIndex,
-        warm_start: Mapping[str, float] | None,
-    ) -> dict[str, CategoryFixedPoint]:
-        category_ids = list(categories)
-        if self.n_jobs > 1 and len(category_ids) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(self.n_jobs, len(category_ids))
-            ) as pool:
-                solved = pool.map(
-                    lambda category_id: self._solve_one(
-                        community, category_id, warm_start
-                    ),
-                    category_ids,
-                )
-                return dict(zip(category_ids, solved))
-
-        fixed_points: dict[str, CategoryFixedPoint] = {}
-        running: dict[str, float] = dict(warm_start or {})
-        for category_id in category_ids:
-            seed = running if (self.reuse_warm_start and running) else warm_start
-            fixed_point = self._solve_one(community, category_id, seed)
-            fixed_points[category_id] = fixed_point
-            if self.reuse_warm_start:
-                running.update(fixed_point.rater_reputation)
-        return fixed_points
-
-    def _solve_one(
-        self,
-        community: Community,
-        category_id: str,
-        warm_start: Mapping[str, float] | None = None,
-    ) -> CategoryFixedPoint:
-        with obs.span("step1.solve", category=category_id):
-            fixed_point = solve_category(
-                # repro: allow(R2): legacy per-category path (thread pool / warm-start)
-                community.rating_triples(category_id),
-                self.config,
-                warm_start=warm_start,
+            expertise = UserCategoryMatrix(
+                users,
+                categories,
+                writer_reputation_matrix(
+                    columns.review_writer_idx,
+                    columns.review_category_idx,
+                    len(users),
+                    len(categories),
+                    batch.rated_review_idx,
+                    batch.quality,
+                    experience_discount_enabled=self.config.experience_discount_enabled,
+                    unrated_policy=self.unrated_policy,
+                ),
             )
-        if obs.tracing_active():
-            obs.convergence(
-                "step1.riggs",
-                iterations=fixed_point.iterations,
-                residual=fixed_point.residual,
-                tolerance=self.config.tolerance,
-                converged=True,
-                category=category_id,
+            return ExpertiseResult(
+                expertise=expertise,
+                rater_reputation=rater_rep,
+                fixed_points=LazyFixedPoints(dict.fromkeys(batch.categories, batch)),
             )
-            obs.observe("step1.sweeps", float(fixed_point.iterations))
-        return fixed_point

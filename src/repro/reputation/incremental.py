@@ -20,16 +20,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.common.arrays import FloatArray
+from repro.common.arrays import concat_ranges
 from repro.common.errors import ValidationError
 from repro.community import Community, Delta
 from repro.community.columnar import CommunityColumns
 from repro.matrix import LabelIndex, UserCategoryMatrix
 from repro.reputation.estimator import ExpertiseResult
 from repro.reputation.riggs import (
-    CategoryFixedPoint,
+    BatchedFixedPoints,
+    LazyFixedPoints,
     RiggsConfig,
-    solve_category_arrays,
+    solve_all_categories,
 )
 from repro.reputation.writer import writer_reputation_matrix
 
@@ -76,7 +77,9 @@ class IncrementalExpertise:
         self._warm_start = warm_start
         self._users = LabelIndex(community.user_ids())
         self._categories = LabelIndex(community.category_ids())
-        self._fixed_points: dict[str, CategoryFixedPoint] = {}
+        # the batch that last solved each category; its dict-form fixed
+        # point is built only when a consumer asks for it
+        self._solved: dict[str, BatchedFixedPoints] = {}
         # dense column caches of E and the rater-reputation matrix; a
         # refresh rewrites only the re-solved categories' columns
         self._e_values = np.zeros((len(self._users), len(self._categories)))
@@ -114,10 +117,10 @@ class IncrementalExpertise:
 
     def last_iterations(self, category_id: str) -> int:
         """Solver sweeps used at the last refresh of ``category_id``."""
-        fixed_point = self._fixed_points.get(category_id)
-        if fixed_point is None:
+        batch = self._solved.get(category_id)
+        if batch is None:
             raise ValidationError(f"category {category_id!r} has not been solved yet")
-        return fixed_point.iterations
+        return int(batch.iterations[batch.categories.index(category_id)])
 
     # ------------------------------------------------------------------ deltas
 
@@ -169,12 +172,8 @@ class IncrementalExpertise:
         skipped = len(self._categories) - len(resolved)
         columns = self._community.columns()
         self._sync_shapes()
-        for category_id in resolved:
-            fixed_point, e_col, r_col = self._solve_columnar(columns, category_id)
-            self._fixed_points[category_id] = fixed_point
-            c = self._categories.position(category_id)
-            self._e_values[:, c] = e_col
-            self._r_values[:, c] = r_col
+        if resolved:
+            self._resolve(columns, resolved)
         self._dirty.clear()
         self._last_resolved = tuple(resolved)
         self._fitted = True
@@ -182,86 +181,47 @@ class IncrementalExpertise:
         obs.add("step1.incremental.categories_skipped", skipped)
         return self._assemble()
 
-    def _solve_columnar(
-        self, columns: CommunityColumns, category_id: str
-    ) -> tuple[CategoryFixedPoint, FloatArray, FloatArray]:
-        """Re-solve one category on the columnar plane.
+    def _resolve(self, columns: CommunityColumns, category_ids: list[str]) -> None:
+        """Re-solve ``category_ids`` in one batched call and scatter their columns.
 
-        Returns the dict-form fixed point plus the category's expertise and
-        rater-reputation columns, bitwise identical to what a cold
-        :func:`repro.reputation.riggs.solve_category` /
-        :func:`repro.reputation.writer.writer_reputations` pass produces:
-        the slot arrays preserve rating insertion order, so every bincount
-        accumulates in the same sequence as the dict scans it replaces.
+        The cost follows those categories' ratings and reviews only.  Both
+        columns come out bitwise identical to a cold
+        :class:`repro.reputation.ExpertiseEstimator` fit: a subset solve
+        equals the full solve category by category, and eq. 3 sums each
+        category's rated reviews in the same order.
         """
-        num_users = len(columns.users)
-        reviews = columns.reviews_slice(category_id)
-        ratings = columns.ratings_slice(category_id)
-        review_local = columns.srt_review_idx[ratings] - reviews.start
-        num_reviews = reviews.stop - reviews.start
-        solved = solve_category_arrays(
-            columns.srt_rater_idx[ratings],
-            review_local,
-            columns.srt_values[ratings],
-            num_raters=num_users,
-            num_reviews=num_reviews,
-            config=self._config,
-            warm_start=self._warm_array(category_id, num_users),
+        seeds: dict[str, dict[str, float]] = {}
+        if self._warm_start:
+            for category_id in category_ids:
+                previous = self._solved.get(category_id)
+                if previous is not None:
+                    reputations = previous.fixed_point(category_id).rater_reputation
+                    if reputations:
+                        seeds[category_id] = reputations
+        batch = solve_all_categories(
+            columns, self._config, categories=category_ids, warm_start=seeds
         )
-        counts = solved.rating_counts
-        active = np.flatnonzero(counts > 0)
-        rated_local = (
-            np.flatnonzero(np.bincount(review_local, minlength=num_reviews) > 0)
-            if review_local.size
-            else np.empty(0, dtype=np.int64)
+        for category_id in category_ids:
+            self._solved[category_id] = batch
+
+        cats = np.sort(self._categories.positions(category_ids))
+        self._r_values[:, cats] = 0.0
+        self._r_values[batch.rater_slot_user, batch.rater_slot_category_idx] = (
+            batch.reputation
         )
-        labels = columns.users.labels
-        review_ids = columns.review_ids
-        fixed_point = CategoryFixedPoint(
-            review_quality={
-                review_ids[reviews.start + j]: float(solved.quality[j])
-                for j in rated_local.tolist()
-            },
-            rater_reputation={
-                labels[u]: float(solved.reputation[u]) for u in active.tolist()
-            },
-            iterations=solved.iterations,
-            residual=solved.residual,
-            rating_counts={labels[u]: int(counts[u]) for u in active.tolist()},
-        )
-        e_col = writer_reputation_matrix(
+        lo = columns.review_cat_starts[cats]
+        hi = columns.review_cat_starts[cats + 1]
+        reviews = concat_ranges(lo, hi)
+        self._e_values[:, cats] = writer_reputation_matrix(
             columns.review_writer_idx[reviews],
-            np.zeros(num_reviews, dtype=np.int64),
-            num_users,
-            1,
-            rated_local,
-            solved.quality[rated_local],
+            np.repeat(np.arange(len(cats), dtype=np.int64), hi - lo),
+            len(columns.users),
+            len(cats),
+            np.searchsorted(reviews, batch.rated_review_idx),
+            batch.quality,
             experience_discount_enabled=self._config.experience_discount_enabled,
             unrated_policy=self._unrated_policy,
-        )[:, 0]
-        r_col = np.where(counts > 0, solved.reputation, 0.0)
-        return fixed_point, e_col, r_col
-
-    def _warm_array(self, category_id: str, num_users: int) -> FloatArray | None:
-        """Per-user warm-start reputations from the previous fixed point."""
-        if not self._warm_start:
-            return None
-        previous = self._fixed_points.get(category_id)
-        if previous is None or not previous.rater_reputation:
-            return None
-        warm = np.full(num_users, self._config.initial_reputation, dtype=np.float64)
-        positions = self._users.positions(previous.rater_reputation.keys())
-        warm[positions] = np.clip(
-            np.fromiter(
-                previous.rater_reputation.values(),
-                dtype=np.float64,
-                count=len(previous.rater_reputation),
-            ),
-            0.0,
-            1.0,
         )
-        obs.add("step1.warm_start_hits", positions.size)
-        return warm
 
     # ------------------------------------------------------------------ assembly
 
@@ -281,5 +241,5 @@ class IncrementalExpertise:
             rater_reputation=UserCategoryMatrix(
                 self._users, self._categories, self._r_values
             ),
-            fixed_points=dict(self._fixed_points),
+            fixed_points=LazyFixedPoints(dict(self._solved)),
         )

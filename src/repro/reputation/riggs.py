@@ -15,8 +15,12 @@ where ``n_i`` is the number of reviews rater *i* rated in the category.  We
 iterate the pair of updates from ``rep = 1`` until the largest change in any
 quality or reputation value falls below ``tolerance``.
 
-The iteration operates on flat numpy arrays indexed by (rater, review)
-incidence, so each sweep is O(number of ratings).
+One sweep loop (:func:`_segmented_solve`) serves every caller.  It runs
+any number of categories at once on flat (rater, review) incidence arrays,
+so each sweep is O(number of ratings).  :func:`solve_all_categories` feeds
+it a community's columnar ratings -- every category, or a chosen few --
+and :func:`solve_category` feeds it one category's triples as a single
+segment.
 """
 
 # repro: hot-path
@@ -25,32 +29,27 @@ from __future__ import annotations
 
 from collections.abc import Mapping as _Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Protocol, Sequence, overload
+from typing import Iterable, Iterator, Mapping, Protocol, Sequence, overload
 
 import numpy as np
 
 from repro import obs
-from repro.common.arrays import FloatArray, IntArray
-from repro.common.contracts import array_spec, checked_arrays
+from repro.common.arrays import BoolArray, FloatArray, IntArray, concat_ranges
 from repro.common.errors import ConvergenceError, ValidationError
 from repro.common.validation import (
     require_fraction,
     require_in_range,
     require_positive,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.matrix.labels import LabelIndex
+from repro.matrix.labels import LabelIndex
 
 __all__ = [
     "RiggsConfig",
     "CategoryFixedPoint",
-    "ArrayFixedPoint",
     "BatchedFixedPoints",
     "ColumnarRatings",
     "LazyFixedPoints",
     "solve_category",
-    "solve_category_arrays",
     "solve_all_categories",
     "experience_discount",
 ]
@@ -161,6 +160,24 @@ class CategoryFixedPoint:
     rating_counts: dict[str, int] = field(default_factory=dict)
 
 
+#: label of the single category :func:`solve_category` solves
+_ONE = "category"
+
+
+@dataclass(frozen=True)
+class _TripleColumns:
+    """One category's indexed triples as a :class:`ColumnarRatings` view."""
+
+    users: LabelIndex
+    categories: LabelIndex
+    review_ids: tuple[str, ...]
+    review_category_idx: IntArray
+    srt_rater_idx: IntArray
+    srt_review_idx: IntArray
+    srt_values: FloatArray
+    rating_cat_starts: IntArray
+
+
 def solve_category(
     ratings: Iterable[tuple[str, str, float]],
     config: RiggsConfig | None = None,
@@ -168,6 +185,9 @@ def solve_category(
     warm_start: Mapping[str, float] | None = None,
 ) -> CategoryFixedPoint:
     """Solve eqs. 1-2 for one category.
+
+    The one-segment case of :func:`solve_all_categories`: the triples are
+    indexed in first-appearance order and solved by the same sweep loop.
 
     Parameters
     ----------
@@ -196,71 +216,19 @@ def solve_category(
     ValidationError
         On malformed input (duplicate pairs, out-of-range values).
     """
-    cfg = config or RiggsConfig()
-    triples = list(ratings)
-    if not triples:
-        return CategoryFixedPoint(
-            review_quality={}, rater_reputation={}, iterations=0, residual=0.0
-        )
-
-    rater_ids, review_ids, rater_idx, review_idx, values = _index_triples(triples)
-    num_raters = len(rater_ids)
-    num_reviews = len(review_ids)
-
-    counts = np.bincount(rater_idx, minlength=num_raters).astype(np.float64)
-    if cfg.experience_discount_enabled:
-        discount = experience_discount(counts)
-    else:
-        discount = np.ones(num_raters, dtype=np.float64)
-
-    reputation = np.full(num_raters, cfg.initial_reputation, dtype=np.float64)
-    if warm_start:
-        warm_hits = 0
-        for i, rater_id in enumerate(rater_ids):
-            previous = warm_start.get(rater_id)
-            if previous is not None:
-                reputation[i] = min(1.0, max(0.0, float(previous)))
-                warm_hits += 1
-        obs.add("step1.warm_start_hits", warm_hits)
-    quality = np.zeros(num_reviews, dtype=np.float64)
-
-    iterations = 0
-    residual = np.inf
-    for iterations in range(1, cfg.max_iterations + 1):
-        new_quality = _quality_update(
-            reputation, rater_idx, review_idx, values, num_reviews, cfg
-        )
-        new_reputation = _reputation_update(
-            new_quality, rater_idx, review_idx, values, counts, discount
-        )
-        if cfg.damping > 0.0:
-            new_reputation = (
-                cfg.damping * reputation + (1.0 - cfg.damping) * new_reputation
-            )
-        residual = max(
-            float(np.max(np.abs(new_quality - quality))),
-            float(np.max(np.abs(new_reputation - reputation))),
-        )
-        quality = new_quality
-        reputation = new_reputation
-        if residual < cfg.tolerance:
-            break
-    else:
-        raise ConvergenceError(
-            f"Riggs fixed point did not converge in {cfg.max_iterations} sweeps "
-            f"(residual {residual:.3e} > tolerance {cfg.tolerance:.3e})",
-            iterations=cfg.max_iterations,
-            residual=float(residual),
-            tolerance=cfg.tolerance,
-        )
-
-    return CategoryFixedPoint(
-        review_quality={review_ids[j]: float(quality[j]) for j in range(num_reviews)},
-        rater_reputation={rater_ids[i]: float(reputation[i]) for i in range(num_raters)},
-        iterations=iterations,
-        residual=float(residual),
-        rating_counts={rater_ids[i]: int(counts[i]) for i in range(num_raters)},
+    rater_ids, review_ids, rater_idx, review_idx, values = _index_triples(list(ratings))
+    view = _TripleColumns(
+        users=LabelIndex(rater_ids),
+        categories=LabelIndex([_ONE]),
+        review_ids=tuple(review_ids),
+        review_category_idx=np.zeros(len(review_ids), dtype=np.int64),
+        srt_rater_idx=rater_idx,
+        srt_review_idx=review_idx,
+        srt_values=values,
+        rating_cat_starts=np.array([0, len(values)], dtype=np.int64),
     )
+    seeds = {_ONE: warm_start} if warm_start else None
+    return solve_all_categories(view, config, warm_start=seeds).fixed_point(_ONE)
 
 
 # --------------------------------------------------------------------------- internals
@@ -296,90 +264,25 @@ def _index_triples(
     )
 
 
-def _quality_update(
-    reputation: FloatArray,
-    rater_idx: IntArray,
-    review_idx: IntArray,
-    values: FloatArray,
-    num_reviews: int,
-    cfg: RiggsConfig,
-) -> FloatArray:
-    """Eq. 1: reputation-weighted mean rating per review."""
-    if cfg.weight_by_rater_reputation:
-        weights = reputation[rater_idx]
-    else:
-        weights = np.ones_like(values)
-    weighted_sum = np.bincount(review_idx, weights=weights * values, minlength=num_reviews)
-    weight_sum = np.bincount(review_idx, weights=weights, minlength=num_reviews)
-    plain_sum = np.bincount(review_idx, weights=values, minlength=num_reviews)
-    plain_count = np.bincount(review_idx, minlength=num_reviews).astype(np.float64)
-    # A review whose raters all have reputation 0 falls back to the plain
-    # mean -- eq. 1 is 0/0 there and the paper leaves it undefined.
-    safe = weight_sum > 0.0
-    quality = np.where(
-        safe,
-        np.divide(weighted_sum, np.where(safe, weight_sum, 1.0)),
-        plain_sum / np.maximum(plain_count, 1.0),
-    )
-    return np.clip(quality, 0.0, 1.0)
-
-
-def _reputation_update(
-    quality: FloatArray,
-    rater_idx: IntArray,
-    review_idx: IntArray,
-    values: FloatArray,
-    counts: FloatArray,
-    discount: FloatArray,
-) -> FloatArray:
-    """Eq. 2: activity-discounted (1 - mean absolute deviation)."""
-    deviations = np.abs(quality[review_idx] - values)
-    total_dev = np.bincount(rater_idx, weights=deviations, minlength=len(counts))
-    mad = total_dev / counts
-    return np.clip(discount * (1.0 - mad), 0.0, 1.0)
-
-
 # ----------------------------------------------------------------- batched solver
 
 
 @dataclass(frozen=True)
-class ArrayFixedPoint:
-    """Arrays-native result of one category's fixed point.
-
-    Attributes
-    ----------
-    quality:
-        Per review slot; slots that received no ratings stay at 0.
-    reputation:
-        Per rater slot; slots with no ratings hold their stationary value
-        (0 with the experience discount, 1 without).
-    rating_counts:
-        Ratings given per rater slot.
-    iterations, residual:
-        As on :class:`CategoryFixedPoint`.
-    """
-
-    quality: FloatArray
-    reputation: FloatArray
-    rating_counts: IntArray
-    iterations: int
-    residual: float
-
-
-@dataclass(frozen=True)
 class BatchedFixedPoints:
-    """All categories' fixed points on shared flat arrays.
+    """The solved categories' fixed points on shared flat arrays.
 
     Slots are grouped by category: ``review_slot_cat`` / ``rater_slot_cat``
-    are nondecreasing *compact* segment indices (one per category that has
-    ratings; ``nonempty_categories`` maps them back to positions on the
-    category axis).  :meth:`fixed_point` materialises the dict form of one
+    are nondecreasing *compact* segment indices (one per solved category
+    that has ratings; ``nonempty_categories`` maps them back to positions
+    on the category axis).  ``solved`` marks the categories the call
+    covered.  :meth:`fixed_point` materialises the dict form of one
     category on demand; the arrays are the fast path for matrix assembly.
     """
 
     categories: tuple[str, ...]
     users: LabelIndex
     review_ids: tuple[str, ...]
+    solved: BoolArray
     nonempty_categories: IntArray
     rated_review_idx: IntArray
     quality: FloatArray
@@ -402,11 +305,13 @@ class BatchedFixedPoints:
         return self.nonempty_categories[self.review_slot_cat]
 
     def fixed_point(self, category_id: str) -> CategoryFixedPoint:
-        """The dict-form :class:`CategoryFixedPoint` of one category."""
+        """The dict-form :class:`CategoryFixedPoint` of one solved category."""
         try:
             c = self.categories.index(category_id)
         except ValueError:
             raise ValidationError(f"unknown category {category_id!r}") from None
+        if not self.solved[c]:
+            raise ValidationError(f"category {category_id!r} was not solved")
         compact = np.flatnonzero(self.nonempty_categories == c)
         if not len(compact):
             return CategoryFixedPoint(
@@ -416,154 +321,63 @@ class BatchedFixedPoints:
         a, b = np.searchsorted(self.review_slot_cat, [k, k + 1])
         ua, ub = np.searchsorted(self.rater_slot_cat, [k, k + 1])
         labels = self.users.labels
+        raters = [labels[u] for u in self.rater_slot_user[ua:ub].tolist()]
         return CategoryFixedPoint(
-            review_quality={
-                self.review_ids[g]: q
-                for g, q in zip(
-                    self.rated_review_idx[a:b].tolist(), self.quality[a:b].tolist()
+            review_quality=dict(
+                zip(
+                    [self.review_ids[g] for g in self.rated_review_idx[a:b].tolist()],
+                    self.quality[a:b].tolist(),
                 )
-            },
-            rater_reputation={
-                labels[u]: r
-                for u, r in zip(
-                    self.rater_slot_user[ua:ub].tolist(),
-                    self.reputation[ua:ub].tolist(),
-                )
-            },
+            ),
+            rater_reputation=dict(zip(raters, self.reputation[ua:ub].tolist())),
             iterations=int(self.iterations[c]),
             residual=float(self.residuals[c]),
-            rating_counts={
-                labels[u]: int(n)
-                for u, n in zip(
-                    self.rater_slot_user[ua:ub].tolist(),
-                    self.rater_counts[ua:ub].tolist(),
-                )
-            },
+            rating_counts=dict(zip(raters, self.rater_counts[ua:ub].tolist())),
         )
-
-    def to_dict(self) -> dict[str, CategoryFixedPoint]:
-        """Materialise every category (the estimator's ``fixed_points``)."""
-        return {category_id: self.fixed_point(category_id) for category_id in self.categories}
 
 
 class LazyFixedPoints(_Mapping[str, CategoryFixedPoint]):
-    """``{category_id: CategoryFixedPoint}`` view over a batched solve.
+    """``{category_id: CategoryFixedPoint}`` view over batched solves.
 
     Building every category's dicts up front costs more than the batched
-    sweeps themselves on large communities, and most callers only touch
-    the matrices.  This mapping materialises a category on first access
-    and caches it, so ``result.fixed_points["movies"]`` behaves exactly
-    like the eager dict while unaccessed categories stay as arrays.
+    sweeps themselves, and most callers only touch the matrices.  This
+    mapping materialises a category through
+    :meth:`BatchedFixedPoints.fixed_point` on first access and caches it,
+    so ``result.fixed_points["movies"]`` behaves exactly like the eager
+    dict while unaccessed categories stay as arrays.
     """
 
-    __slots__ = ("_batch", "_cache")
+    __slots__ = ("_batches", "_cache")
 
-    def __init__(self, batch: BatchedFixedPoints) -> None:
-        self._batch = batch
+    def __init__(self, batches: Mapping[str, BatchedFixedPoints]) -> None:
+        """``batches`` maps every category to the batch that solved it."""
+        self._batches = batches
         self._cache: dict[str, CategoryFixedPoint] = {}
 
     def __getitem__(self, category_id: str) -> CategoryFixedPoint:
         if category_id not in self._cache:
-            if category_id not in self._batch.categories:
-                raise KeyError(category_id)
-            self._cache[category_id] = self._batch.fixed_point(category_id)
+            batch = self._batches[category_id]
+            self._cache[category_id] = batch.fixed_point(category_id)
         return self._cache[category_id]
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._batch.categories)
+        return iter(self._batches)
 
     def __len__(self) -> int:
-        return len(self._batch.categories)
+        return len(self._batches)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LazyFixedPoints({len(self)} categories)"
-
-
-@checked_arrays(
-    rater_idx=array_spec(ndim=1, kind="iu", non_negative=True, length_of="ratings"),
-    review_idx=array_spec(ndim=1, kind="iu", non_negative=True, length_of="ratings"),
-    values=array_spec(ndim=1, kind="if", finite=True, length_of="ratings"),
-    warm_start=array_spec(ndim=1, kind="if", finite=True, optional=True),
-)
-def solve_category_arrays(
-    rater_idx: IntArray,
-    review_idx: IntArray,
-    values: FloatArray,
-    *,
-    num_raters: int | None = None,
-    num_reviews: int | None = None,
-    config: RiggsConfig | None = None,
-    warm_start: FloatArray | None = None,
-) -> ArrayFixedPoint:
-    """Arrays-native :func:`solve_category`: integer slots in, arrays out.
-
-    ``rater_idx`` / ``review_idx`` are dense slot positions (``int64``) and
-    ``values`` the ratings, one entry per rating.  ``num_raters`` /
-    ``num_reviews`` widen the slot spaces beyond the maximum seen index
-    (extra slots converge to their stationary values without costing
-    sweeps).  ``warm_start`` is a per-rater-slot reputation array.
-
-    The fixed point is bitwise identical to :func:`solve_category` on the
-    label-equivalent triples.
-    """
-    cfg = config or RiggsConfig()
-    rater_idx = np.ascontiguousarray(rater_idx, dtype=np.int64)
-    review_idx = np.ascontiguousarray(review_idx, dtype=np.int64)
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if not (len(rater_idx) == len(review_idx) == len(values)):
-        raise ValidationError("rater_idx, review_idx and values must be equal length")
-    if num_raters is None:
-        num_raters = int(rater_idx.max()) + 1 if len(rater_idx) else 0
-    if num_reviews is None:
-        num_reviews = int(review_idx.max()) + 1 if len(review_idx) else 0
-    if len(values) == 0:
-        return ArrayFixedPoint(
-            quality=np.zeros(num_reviews),
-            reputation=np.zeros(num_raters),
-            rating_counts=np.zeros(num_raters, dtype=np.int64),
-            iterations=0,
-            residual=0.0,
-        )
-    _validate_rating_arrays(rater_idx, review_idx, values, num_reviews)
-
-    reputation = np.full(num_raters, cfg.initial_reputation, dtype=np.float64)
-    if warm_start is not None:
-        warm_start = np.asarray(warm_start, dtype=np.float64)
-        if warm_start.shape != reputation.shape:
-            raise ValidationError(
-                f"warm_start shape {warm_start.shape} does not match {num_raters} raters"
-            )
-        reputation = np.clip(warm_start, 0.0, 1.0)
-
-    quality, reputation, counts, iterations, residuals = _segmented_solve(
-        rater_idx,
-        review_idx,
-        values,
-        num_rater_slots=num_raters,
-        num_review_slots=num_reviews,
-        row_cat=np.zeros(len(values), dtype=np.int64),
-        rater_slot_cat=np.zeros(num_raters, dtype=np.int64),
-        review_slot_cat=np.zeros(num_reviews, dtype=np.int64),
-        num_segments=1,
-        cfg=cfg,
-        reputation=reputation,
-    )
-    return ArrayFixedPoint(
-        quality=quality,
-        reputation=reputation,
-        rating_counts=counts,
-        iterations=int(iterations[0]),
-        residual=float(residuals[0]),
-    )
 
 
 def solve_all_categories(
     columns: ColumnarRatings,
     config: RiggsConfig | None = None,
     *,
-    warm_start: Mapping[str, float] | None = None,
+    categories: Iterable[str] | None = None,
+    warm_start: Mapping[str, Mapping[str, float]] | None = None,
 ) -> BatchedFixedPoints:
-    """Solve eqs. 1-2 for *every* category in shared batched sweeps.
+    """Solve eqs. 1-2 for every category in shared batched sweeps.
 
     Parameters
     ----------
@@ -574,41 +388,63 @@ def solve_all_categories(
         (``review_ids``, ``review_category_idx``) and category-major rating
         columns (``srt_rater_idx``, ``srt_review_idx``, ``srt_values``,
         ``rating_cat_starts``).
+    categories:
+        Solve only these categories (any order; default: all).  Only their
+        ``srt_*`` rows are read, so the cost scales with their ratings, not
+        with the community.  Asking the result for any other category
+        raises :class:`ValidationError`.
     warm_start:
-        Optional ``{rater_id: reputation}`` seed applied to every
-        category's slots, exactly like :func:`solve_category`'s.
+        Optional ``{category_id: {rater_id: reputation}}`` starting points
+        (e.g. each category's previous fixed point).  A seeded rater starts
+        at its seed clipped to ``[0, 1]``, every other rater at
+        ``config.initial_reputation``; ``step1.warm_start_hits`` counts
+        the seeded raters.
 
     Returns
     -------
     BatchedFixedPoints
         Per-slot arrays plus per-category iteration counts and residuals.
-        Every category's fixed point is bitwise identical to a standalone
-        :func:`solve_category` run: the sweeps reduce over globally
-        flattened incidence arrays whose per-category segments preserve
-        rating insertion order, and converged categories are masked out of
-        later sweeps so their values (and iteration counts) freeze exactly
-        where the standalone solver would stop.
+        Every category's fixed point is bitwise identical to solving it
+        alone: the sweeps reduce over globally flattened incidence arrays
+        whose per-category segments preserve rating insertion order, and
+        converged categories are masked out of later sweeps so their
+        values (and iteration counts) freeze exactly where a lone solve
+        would stop.
 
     Raises
     ------
     ConvergenceError
         If any category fails to reach ``tolerance`` within
         ``config.max_iterations`` sweeps.
+    ValidationError
+        On an unknown category, out-of-range values or a duplicate
+        ``(rater, review)`` pair.
     """
     cfg = config or RiggsConfig()
-    categories = tuple(columns.categories)
+    labels = tuple(columns.categories)
     starts = np.asarray(columns.rating_cat_starts, dtype=np.int64)
-    rows_per_cat = np.diff(starts)
-    nonempty = np.asarray(np.flatnonzero(rows_per_cat > 0), dtype=np.int64)
+    if categories is None:
+        chosen = np.arange(len(labels), dtype=np.int64)
+    else:
+        try:
+            chosen = np.unique(columns.categories.positions(categories))
+        except KeyError as exc:
+            raise ValidationError(str(exc.args[0])) from None
+    rows_per_cat = starts[chosen + 1] - starts[chosen]
+    nonempty = chosen[rows_per_cat > 0]
+    rows_per_cat = rows_per_cat[rows_per_cat > 0]
     num_users = len(columns.users)
-    iterations = np.zeros(len(categories), dtype=np.int64)
-    residuals = np.zeros(len(categories), dtype=np.float64)
+    solved = np.zeros(len(labels), dtype=bool)
+    solved[chosen] = True
+    iterations = np.zeros(len(labels), dtype=np.int64)
+    residuals = np.zeros(len(labels), dtype=np.float64)
 
     if len(nonempty) == 0:
         return BatchedFixedPoints(
-            categories=categories,
+            categories=labels,
             users=columns.users,
             review_ids=tuple(columns.review_ids),
+            solved=solved,
             nonempty_categories=nonempty,
             rated_review_idx=np.empty(0, dtype=np.int64),
             quality=np.empty(0),
@@ -621,52 +457,57 @@ def solve_all_categories(
             residuals=residuals,
         )
 
-    rater_pos = np.ascontiguousarray(columns.srt_rater_idx, dtype=np.int64)
-    review_pos = np.ascontiguousarray(columns.srt_review_idx, dtype=np.int64)
-    values = np.ascontiguousarray(columns.srt_values, dtype=np.float64)
-    _validate_rating_arrays(rater_pos, review_pos, values, len(columns.review_ids))
+    num_rows = int(rows_per_cat.sum())
+    with obs.span("step1.solve_all", categories=len(nonempty), ratings=num_rows):
+        lo, hi = int(starts[nonempty[0]]), int(starts[nonempty[-1] + 1])
+        # one contiguous block of rows (all categories, or adjacent ones) is
+        # a slice; scattered categories are gathered
+        rows: slice | IntArray = (
+            slice(lo, hi)
+            if hi - lo == num_rows
+            else concat_ranges(starts[nonempty], starts[nonempty + 1])
+        )
+        rater_pos = np.asarray(columns.srt_rater_idx[rows], dtype=np.int64)
+        review_pos = np.asarray(columns.srt_review_idx[rows], dtype=np.int64)
+        values = np.asarray(columns.srt_values[rows], dtype=np.float64)
+        _validate_rating_arrays(rater_pos, review_pos, values, len(columns.review_ids))
 
-    # compact segment index per category (nonempty categories only)
-    compact_of_cat = np.full(len(categories), -1, dtype=np.int64)
-    compact_of_cat[nonempty] = np.arange(len(nonempty))
-    row_cat = compact_of_cat[np.repeat(np.arange(len(categories)), rows_per_cat)]
+        # compact segment index (position in `nonempty`) per rating row
+        row_cat = np.repeat(np.arange(len(nonempty), dtype=np.int64), rows_per_cat)
 
-    # review slots: the rated subset of the (category-major) review axis
-    # (sorted-dedup instead of np.unique -- the hash-based unique kernel is
-    # several times slower than an int64 sort at this size)
-    sorted_reviews = np.sort(review_pos)
-    rated = sorted_reviews[np.r_[True, sorted_reviews[1:] != sorted_reviews[:-1]]]
-    # position of each review on the rated-slot axis, via a dense lookup
-    # table (O(1) gathers beat a binary search over every rating row)
-    slot_of_review = np.empty(len(columns.review_ids), dtype=np.int64)
-    slot_of_review[rated] = np.arange(len(rated), dtype=np.int64)
-    review_slot = slot_of_review[review_pos]
-    review_slot_cat = compact_of_cat[
-        np.asarray(columns.review_category_idx, dtype=np.int64)[rated]
-    ]
+        # review slots: the rated reviews in axis order; the rows of one
+        # category stay inside its block of the category-major review axis
+        first = int(review_pos.min())
+        rated, review_slot = _number_keys(
+            review_pos - first, int(review_pos.max()) - first + 1
+        )
+        rated += first
+        review_slot_cat = np.searchsorted(nonempty, columns.review_category_idx[rated])
 
-    # rater slots: one per (category, rater) incidence
-    rater_keys = row_cat * np.int64(num_users) + rater_pos
-    uniq_keys, rater_slot = np.unique(rater_keys, return_inverse=True)
-    rater_slot_cat = uniq_keys // num_users
-    rater_slot_user = uniq_keys % num_users
+        # rater slots: one per (category, rater) incidence, in key order
+        uniq_keys, rater_slot = _number_keys(
+            row_cat * np.int64(num_users) + rater_pos, len(nonempty) * num_users
+        )
+        rater_slot_cat = uniq_keys // num_users
+        rater_slot_user = uniq_keys % num_users
 
-    reputation = np.full(len(uniq_keys), cfg.initial_reputation, dtype=np.float64)
-    if warm_start:
-        labels = columns.users.labels
-        warm_hits = 0
-        for slot, user in enumerate(rater_slot_user.tolist()):
-            previous = warm_start.get(labels[user])
-            if previous is not None:
-                reputation[slot] = min(1.0, max(0.0, float(previous)))
-                warm_hits += 1
-        obs.add("step1.warm_start_hits", warm_hits)
+        reputation = np.full(len(uniq_keys), cfg.initial_reputation, dtype=np.float64)
+        if warm_start:
+            seeds = [warm_start.get(labels[c]) for c in nonempty.tolist()]
+            user_labels = columns.users.labels
+            warm_hits = 0
+            for slot, (k, user) in enumerate(
+                zip(rater_slot_cat.tolist(), rater_slot_user.tolist())
+            ):
+                seed = seeds[k]
+                previous = seed.get(user_labels[user]) if seed else None
+                if previous is not None:
+                    reputation[slot] = min(1.0, max(0.0, float(previous)))
+                    warm_hits += 1
+            obs.add("step1.warm_start_hits", warm_hits)
 
-    with obs.span(
-        "step1.solve_all", categories=len(nonempty), ratings=len(values)
-    ):
         quality, reputation, counts, seg_iterations, seg_residuals = _segmented_solve(
-            rater_slot.astype(np.int64),
+            rater_slot,
             review_slot,
             values,
             num_rater_slots=len(uniq_keys),
@@ -690,13 +531,14 @@ def solve_all_categories(
                 residual=float(residuals[c]),
                 tolerance=cfg.tolerance,
                 converged=True,
-                category=categories[c],
+                category=labels[c],
             )
             obs.observe("step1.sweeps", float(iterations[c]))
     return BatchedFixedPoints(
-        categories=categories,
+        categories=labels,
         users=columns.users,
         review_ids=tuple(columns.review_ids),
+        solved=solved,
         nonempty_categories=nonempty,
         rated_review_idx=rated,
         quality=quality,
@@ -708,6 +550,18 @@ def solve_all_categories(
         iterations=iterations,
         residuals=residuals,
     )
+
+
+def _number_keys(keys: IntArray, size: int) -> tuple[IntArray, IntArray]:
+    """The distinct ``keys`` ascending, and each key's rank among them.
+
+    The result of ``np.unique(keys, return_inverse=True)`` for keys in
+    ``[0, size)``, through a dense table instead of a sort: ``size`` is a
+    block of the review axis or a (category, user) grid no larger than E.
+    """
+    present = np.zeros(size, dtype=bool)
+    present[keys] = True
+    return np.flatnonzero(present), (np.cumsum(present) - 1)[keys]
 
 
 def _validate_rating_arrays(
@@ -739,12 +593,12 @@ def _segmented_solve(
     cfg: RiggsConfig,
     reputation: FloatArray,
 ) -> tuple[FloatArray, FloatArray, IntArray, IntArray, FloatArray]:
-    """Shared sweep loop over category-segmented incidence arrays.
+    """The sweep loop over category-segmented incidence arrays.
 
     Every segment (category) is an independent fixed point; the sweeps run
     them simultaneously on the flat arrays and mask converged segments out
     so they stop updating.  Segment membership arrays must be nondecreasing
-    and each segment must own at least one rating row.
+    and every rater and review slot must own at least one rating row.
     """
     counts = np.bincount(rater_slot, minlength=num_rater_slots).astype(np.float64)
     if cfg.experience_discount_enabled:
@@ -753,15 +607,9 @@ def _segmented_solve(
         discount = np.ones(num_rater_slots, dtype=np.float64)
     plain_sum = np.bincount(review_slot, weights=values, minlength=num_review_slots)
     plain_count = np.bincount(review_slot, minlength=num_review_slots).astype(np.float64)
-    plain_mean = plain_sum / np.maximum(plain_count, 1.0)
-
-    # rater slots with no ratings (possible via explicit num_raters) start at
-    # their stationary value so they never delay convergence
-    empty_raters = counts == 0.0
-    if empty_raters.any():
-        reputation = np.where(
-            empty_raters, np.clip(discount, 0.0, 1.0), reputation
-        )
+    # A review whose raters all have reputation 0 falls back to the plain
+    # mean -- eq. 1 is 0/0 there and the paper leaves it undefined.
+    plain_mean = plain_sum / plain_count
 
     seg_starts_r = np.searchsorted(review_slot_cat, np.arange(num_segments))
     seg_starts_u = np.searchsorted(rater_slot_cat, np.arange(num_segments))
@@ -798,7 +646,7 @@ def _segmented_solve(
         total_dev = np.bincount(
             rows_rater, weights=deviations, minlength=num_rater_slots
         )
-        mad = total_dev / np.maximum(counts, 1.0)
+        mad = total_dev / counts
         new_reputation = np.clip(discount * (1.0 - mad), 0.0, 1.0)
         if cfg.damping > 0.0:
             new_reputation = (
@@ -806,8 +654,6 @@ def _segmented_solve(
             )
         if not all_active:
             new_reputation = np.where(slot_active_u, new_reputation, reputation)
-        elif empty_raters.any():
-            new_reputation = np.where(empty_raters, reputation, new_reputation)
 
         q_delta = np.abs(new_quality - quality)
         r_delta = np.abs(new_reputation - reputation)

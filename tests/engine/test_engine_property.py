@@ -3,7 +3,8 @@
 This is the engine's headline contract (exact mode): after an arbitrary
 interleaving of mutations and updates, the staged artifacts are bitwise
 equal to one cold, cache-free pipeline pass over a fresh replica of the
-same records.  hypothesis drives a random but self-consistent stream of
+same records, and its Step-1 matrices bitwise equal to the frozen
+triple-based oracle of `repro.perf.reference`.  hypothesis drives a random but self-consistent stream of
 add_user / add_category / add_object / add_review / add_rating /
 add_trust / touch operations, with updates interspersed at random points
 so reuse paths (no-op, trust-only, localised patch, full re-derive after
@@ -21,6 +22,7 @@ from repro.community import (
     TrustStatement,
 )
 from repro.engine import Engine, clone_community, cold_artifacts
+from repro.perf.reference import reference_fit_expertise
 
 OPS = ("user", "category", "object", "review", "rating", "trust", "touch", "update")
 
@@ -138,6 +140,14 @@ def test_random_mutation_stream_is_bitwise_cold(ops):
     for op, index, value in ops:
         driver.apply(op, index, value)
     artifacts = driver.engine.update()
-    reference = cold_artifacts(clone_community(driver.community))
+    clone = clone_community(driver.community)
+    reference = cold_artifacts(clone)
     diffs = artifacts.differences(reference)
     assert not diffs, f"stream {ops!r} diverged: {diffs}"
+    # cold_artifacts runs the engine's own Step-1 solver; the frozen
+    # triple-based oracle checks it independently
+    oracle = reference_fit_expertise(clone)
+    assert artifacts.expertise == oracle.expertise, f"stream {ops!r}: E"
+    assert (
+        artifacts.expertise_result.rater_reputation == oracle.rater_reputation
+    ), f"stream {ops!r}: rater reputation"

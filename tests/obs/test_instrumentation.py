@@ -4,8 +4,8 @@ The central invariants:
 
 - tracing never changes the numerics -- a run under a :class:`Recorder`
   produces matrices identical to a run under the :class:`NullRecorder`;
-- the counter/telemetry semantics are the same whichever Step-1 path
-  executes (batched vs per-category);
+- the estimator and the incremental tracker (the engine's Step 1) record
+  the same Step-1 telemetry;
 - propagation kernels that hit their iteration cap surface it instead of
   silently returning (``RuntimeWarning`` + ``converged=False``).
 """
@@ -18,19 +18,23 @@ from repro import obs
 from repro.matrix import UserPairMatrix
 from repro.obs.recorder import Recorder, convergence_failures
 from repro.propagation import appleseed, eigen_trust
-from repro.reputation import ExpertiseEstimator
+from repro.datasets import CommunityProfile, generate_community
+from repro.engine import Engine, split_rating_stream
+from repro.reputation import ExpertiseEstimator, IncrementalExpertise
 from repro.experiments.pipeline import run_pipeline
 
 
 def span_names(recorder):
     names = set()
+    for root in recorder.roots:
+        names |= span_names_under(root)
+    return names
 
-    def walk(records):
-        for record in records:
-            names.add(record.name)
-            walk(record.children)
 
-    walk(recorder.roots)
+def span_names_under(record):
+    names = {record.name}
+    for child in record.children:
+        names |= span_names_under(child)
     return names
 
 
@@ -117,49 +121,77 @@ class TestTracingNeverChangesResults:
 
 
 class TestStep1PathParity:
-    """Batched and per-category Step 1 report the same counter semantics."""
+    """The estimator and the incremental tracker report the same telemetry."""
 
     def test_warm_start_hits_identical_across_paths(self, two_category_community):
-        warm = {u: 0.5 for u in two_category_community.user_ids()}
+        estimator_rec = Recorder()
+        with obs.use_recorder(estimator_rec):
+            estimated = ExpertiseEstimator().fit(two_category_community)
 
-        batched_rec = Recorder()
-        with obs.use_recorder(batched_rec):
-            batched = ExpertiseEstimator().fit(
-                two_category_community, warm_start=warm
-            )
+        tracker = IncrementalExpertise(two_category_community)
+        tracker_rec = Recorder()
+        with obs.use_recorder(tracker_rec):
+            tracked = tracker.fit()
 
-        per_cat_rec = Recorder()
-        with obs.use_recorder(per_cat_rec):
-            per_cat = ExpertiseEstimator(n_jobs=2).fit(
-                two_category_community, warm_start=warm
-            )
+        # both cold fits seed nothing
+        assert estimator_rec.counters.get("step1.warm_start_hits", 0) == 0
+        assert tracker_rec.counters.get("step1.warm_start_hits", 0) == 0
+        assert estimated.expertise == tracked.expertise
+        assert estimated.rater_reputation == tracked.rater_reputation
 
-        assert (
-            batched_rec.counters["step1.warm_start_hits"]
-            == per_cat_rec.counters["step1.warm_start_hits"]
+        # a warm re-solve counts every rater seeded from the last fit
+        two_category_community.touch()
+        refresh_rec = Recorder()
+        with obs.use_recorder(refresh_rec):
+            tracker.refresh()
+        assert refresh_rec.counters["step1.warm_start_hits"] == sum(
+            len(fp.rater_reputation) for fp in estimated.fixed_points.values()
         )
-        assert batched.expertise == per_cat.expertise
 
     def test_sweep_telemetry_identical_across_paths(self, two_category_community):
-        batched_rec = Recorder()
-        with obs.use_recorder(batched_rec):
+        estimator_rec = Recorder()
+        with obs.use_recorder(estimator_rec):
             ExpertiseEstimator().fit(two_category_community)
 
-        per_cat_rec = Recorder()
-        with obs.use_recorder(per_cat_rec):
-            ExpertiseEstimator(n_jobs=2).fit(two_category_community)
+        tracker_rec = Recorder()
+        with obs.use_recorder(tracker_rec):
+            IncrementalExpertise(two_category_community).fit()
 
-        def sweeps_by_category(recorder):
-            return {
-                r.attributes["category"]: r.iterations
+        def riggs_records(recorder):
+            return sorted(
+                (r.attributes["category"], r.iterations, r.residual, r.converged)
                 for r in recorder.convergence_records
                 if r.kernel == "step1.riggs"
-            }
+            )
 
-        assert sweeps_by_category(batched_rec) == sweeps_by_category(per_cat_rec)
-        assert sorted(batched_rec.histograms["step1.sweeps"]) == sorted(
-            per_cat_rec.histograms["step1.sweeps"]
+        assert riggs_records(estimator_rec) == riggs_records(tracker_rec)
+        assert len(riggs_records(estimator_rec)) == 2
+        assert sorted(estimator_rec.histograms["step1.sweeps"]) == sorted(
+            tracker_rec.histograms["step1.sweeps"]
         )
+
+
+class TestEngineStep1Telemetry:
+    def test_traced_update_records_step1(self):
+        community = generate_community(CommunityProfile(num_users=80), seed=3).community
+        base, stream = split_rating_stream(community, 1)
+        engine = Engine(base)
+        engine.update()
+        base.add_rating(stream[0])
+
+        recorder = Recorder()
+        with obs.use_recorder(recorder):
+            engine.update()
+
+        (update,) = [r for r in recorder.roots if r.name == "engine.update"]
+        assert "step1.solve_all" in span_names_under(update)
+        # the rating's category is the one category re-solved
+        assert engine.last_stats.categories_resolved == 1
+        riggs = [r for r in recorder.convergence_records if r.kernel == "step1.riggs"]
+        assert [r.attributes["category"] for r in riggs] == [
+            base.review_category(stream[0].review_id)
+        ]
+        assert len(recorder.histograms["step1.sweeps"]) == 1
 
 
 class TestConvergenceSurfacing:

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.common.errors import ValidationError
 from repro.community import Review, ReviewRating, ReviewedObject
+from repro.datasets import CommunityProfile, generate_community
+from repro.obs.recorder import Recorder
 from repro.reputation import (
     ExpertiseEstimator,
     IncrementalExpertise,
@@ -46,6 +49,28 @@ class TestWarmStart:
     def test_unknown_raters_in_warm_start_ignored(self):
         result = solve_category([("u1", "r1", 0.8)], warm_start={"ghost": 0.1})
         assert result.rater_reputation["u1"] == pytest.approx(0.5)
+
+    def test_explicit_warm_start_cuts_iterations(self):
+        community = generate_community(CommunityProfile(num_users=80), seed=3).community
+        tracker = IncrementalExpertise(community)
+        cold = tracker.fit()
+        category_ids = community.category_ids()
+        cold_sweeps = sum(tracker.last_iterations(c) for c in category_ids)
+
+        # every category re-solves, seeded with its own previous fixed point
+        community.touch()
+        recorder = Recorder()
+        with obs.use_recorder(recorder):
+            warm = tracker.refresh()
+        assert sum(tracker.last_iterations(c) for c in category_ids) <= cold_sweeps
+        assert recorder.counters["step1.warm_start_hits"] == sum(
+            len(fp.rater_reputation) for fp in cold.fixed_points.values()
+        )
+        for category in category_ids:
+            for rater, value in cold.fixed_points[category].rater_reputation.items():
+                assert warm.fixed_points[category].rater_reputation[
+                    rater
+                ] == pytest.approx(value, abs=1e-6)
 
 
 class TestIncrementalExpertise:

@@ -1,21 +1,22 @@
-"""Equivalence of the batched multi-category solver with `solve_category`.
+"""Equivalence of the batched multi-category solver with the frozen oracle.
 
-`solve_all_categories` must reproduce the per-category oracle *bitwise*:
-the category-major columnar layout preserves each category's scan order,
-so every bincount accumulation sums the same floats in the same order.
+`solve_all_categories` must reproduce the per-category triple solver of
+`repro.perf.reference` *bitwise*: the category-major columnar layout
+preserves each category's scan order, so every bincount accumulation sums
+the same floats in the same order.  `solve_category`, the production
+one-category form, is held to the same oracle.
 """
 
-import numpy as np
 import pytest
 
 from repro.common.errors import ConvergenceError, ValidationError
 from repro.datasets import CommunityProfile, generate_community
-from repro.matrix import LabelIndex
+from repro.perf.reference import reference_solve_category
 from repro.reputation import (
+    LazyFixedPoints,
     RiggsConfig,
     solve_all_categories,
     solve_category,
-    solve_category_arrays,
 )
 
 CONFIGS = {
@@ -46,22 +47,34 @@ class TestBatchedEquivalence:
         config = CONFIGS[config_name]
         batch = solve_all_categories(community.columns(), config)
         for category_id in community.category_ids():
-            oracle = solve_category(community.rating_triples(category_id), config)
+            triples = community.rating_triples(category_id)
+            oracle = reference_solve_category(triples, config)
             assert_fixed_points_identical(batch.fixed_point(category_id), oracle)
+            assert_fixed_points_identical(solve_category(triples, config), oracle)
 
     def test_warm_start_matches_oracle(self):
         community = random_community(5)
         warm = {user_id: 0.5 for user_id in community.user_ids()[::2]}
-        batch = solve_all_categories(community.columns(), warm_start=warm)
+        # every other category is seeded, the rest start cold
+        seeded = community.category_ids()[::2]
+        batch = solve_all_categories(
+            community.columns(), warm_start={c: warm for c in seeded}
+        )
         for category_id in community.category_ids():
-            oracle = solve_category(
-                community.rating_triples(category_id), warm_start=warm
+            oracle = reference_solve_category(
+                community.rating_triples(category_id),
+                warm_start=warm if category_id in seeded else None,
             )
             assert_fixed_points_identical(batch.fixed_point(category_id), oracle)
 
     def test_to_dict_covers_every_category(self, two_category_community):
         batch = solve_all_categories(two_category_community.columns())
-        assert list(batch.to_dict()) == ["movies", "books"]
+        lazy = LazyFixedPoints(dict.fromkeys(batch.categories, batch))
+        assert list(lazy) == ["movies", "books"]
+        for category_id in lazy:
+            assert_fixed_points_identical(
+                lazy[category_id], batch.fixed_point(category_id)
+            )
 
     def test_slot_arrays_align_with_dict_view(self, two_category_community):
         batch = solve_all_categories(two_category_community.columns())
@@ -94,13 +107,13 @@ class TestDegenerateCategories:
         assert fp.rater_reputation == {}
         assert fp.iterations == 0
         # the populated categories are unaffected by the empty segment
-        oracle = solve_category(two_category_community.rating_triples("movies"))
+        oracle = reference_solve_category(two_category_community.rating_triples("movies"))
         assert_fixed_points_identical(batch.fixed_point("movies"), oracle)
 
     def test_singleton_category(self, two_category_community):
         # books has a single review rated twice -- the smallest nonempty case
         batch = solve_all_categories(two_category_community.columns())
-        oracle = solve_category(two_category_community.rating_triples("books"))
+        oracle = reference_solve_category(two_category_community.rating_triples("books"))
         assert_fixed_points_identical(batch.fixed_point("books"), oracle)
 
     def test_community_with_no_ratings(self):
@@ -128,55 +141,83 @@ class TestConvergenceFailure:
             solve_all_categories(community.columns(), strict)
         with pytest.raises(ConvergenceError):
             for category_id in community.category_ids():
-                solve_category(community.rating_triples(category_id), strict)
+                reference_solve_category(community.rating_triples(category_id), strict)
 
 
-class TestSolveCategoryArrays:
-    @staticmethod
-    def triples_to_arrays(triples):
-        raters = LabelIndex(dict.fromkeys(r for r, _, _ in triples))
-        reviews = LabelIndex(dict.fromkeys(j for _, j, _ in triples))
-        rater_idx = raters.positions([r for r, _, _ in triples])
-        review_idx = reviews.positions([j for _, j, _ in triples])
-        values = np.array([v for _, _, v in triples])
-        return raters, reviews, rater_idx, review_idx, values
+class TestSubsetSolve:
+    """`categories=` solves a chosen few exactly as the full solve does."""
 
-    def test_matches_dict_solver(self):
+    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
+    def test_subset_matches_full_solve_and_oracle(self, config_name):
         community = random_community(6)
-        for category_id in community.category_ids():
-            triples = community.rating_triples(category_id)
-            if not triples:
-                continue
-            raters, reviews, rater_idx, review_idx, values = self.triples_to_arrays(triples)
-            result = solve_category_arrays(rater_idx, review_idx, values)
-            oracle = solve_category(triples)
-            assert {
-                label: q for label, q in zip(reviews.labels, result.quality.tolist())
-            } == oracle.review_quality
-            assert {
-                label: r for label, r in zip(raters.labels, result.reputation.tolist())
-            } == oracle.rater_reputation
-            assert result.iterations == oracle.iterations
-            assert result.residual == oracle.residual
+        config = CONFIGS[config_name]
+        columns = community.columns()
+        full = solve_all_categories(columns, config)
+        # an unordered pick that skips categories on both sides
+        subset = community.category_ids()[::-3]
+        batch = solve_all_categories(columns, config, categories=subset)
+        for category_id in subset:
+            oracle = reference_solve_category(
+                community.rating_triples(category_id), config
+            )
+            assert_fixed_points_identical(batch.fixed_point(category_id), oracle)
+            assert_fixed_points_identical(
+                batch.fixed_point(category_id), full.fixed_point(category_id)
+            )
+        solved = {columns.categories.position(c) for c in subset}
+        assert set(batch.rater_slot_category_idx.tolist()) <= solved
+        assert set(batch.review_slot_category_idx.tolist()) <= solved
 
-    def test_empty_input(self):
-        result = solve_category_arrays(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
+    def test_unsolved_category_rejected(self):
+        community = random_community(6)
+        first, second = community.category_ids()[:2]
+        batch = solve_all_categories(community.columns(), categories=[first])
+        with pytest.raises(ValidationError, match="not solved"):
+            batch.fixed_point(second)
+
+    def test_empty_subset(self, two_category_community):
+        batch = solve_all_categories(two_category_community.columns(), categories=[])
+        assert len(batch.reputation) == 0 and len(batch.quality) == 0
+        with pytest.raises(ValidationError, match="not solved"):
+            batch.fixed_point("movies")
+
+    def test_empty_category_in_subset(self, two_category_community):
+        two_category_community.add_category("music")  # no objects, no reviews
+        batch = solve_all_categories(
+            two_category_community.columns(), categories=["music", "books"]
         )
-        assert result.iterations == 0
-        assert len(result.quality) == 0 and len(result.reputation) == 0
+        fp = batch.fixed_point("music")
+        assert fp.review_quality == {} and fp.rater_reputation == {}
+        assert fp.iterations == 0
+        oracle = reference_solve_category(two_category_community.rating_triples("books"))
+        assert_fixed_points_identical(batch.fixed_point("books"), oracle)
 
-    def test_duplicate_pair_rejected(self):
-        with pytest.raises(ValidationError):
-            solve_category_arrays(
-                np.array([0, 0]), np.array([1, 1]), np.array([0.4, 0.8])
+    def test_warm_started_subset_matches_oracle(self):
+        community = random_community(7)
+        columns = community.columns()
+        subset = community.category_ids()[1::2]
+        # seed from a perturbed cold solve so warm and cold runs differ
+        cold = solve_all_categories(columns, categories=subset)
+        seeds = {
+            c: {
+                rater: min(1.0, value + 0.05)
+                for rater, value in cold.fixed_point(c).rater_reputation.items()
+            }
+            for c in subset
+        }
+        warm = solve_all_categories(columns, categories=subset, warm_start=seeds)
+        full = solve_all_categories(columns, warm_start=seeds)
+        for category_id in subset:
+            oracle = reference_solve_category(
+                community.rating_triples(category_id), warm_start=seeds[category_id]
+            )
+            assert_fixed_points_identical(warm.fixed_point(category_id), oracle)
+            assert_fixed_points_identical(
+                warm.fixed_point(category_id), full.fixed_point(category_id)
             )
 
-    def test_warm_start_shape_checked(self):
-        with pytest.raises(ValidationError):
-            solve_category_arrays(
-                np.array([0]),
-                np.array([0]),
-                np.array([0.8]),
-                warm_start=np.array([0.5, 0.5]),
+    def test_unknown_category_rejected(self, two_category_community):
+        with pytest.raises(ValidationError, match="gardening"):
+            solve_all_categories(
+                two_category_community.columns(), categories=["gardening"]
             )

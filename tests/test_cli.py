@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -73,3 +78,36 @@ class TestCommands:
     def test_table2_command(self, capsys):
         assert main(["table2", *ARGS]) == 0
         assert "Table 2" in capsys.readouterr().out
+
+
+SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def write_duplicate_review_dump(directory):
+    directory.mkdir()
+    (directory / "mc.txt").write_text("r1|alice|m1|c\nr1|bob|m2|c\n")
+    (directory / "rating.txt").write_text("r1|bob|3\n")
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["update", *ARGS, "--stream", "-3"], "--stream: must be >= 0"),
+        (["update", *ARGS, "--batch", "0"], "--batch: must be >= 1"),
+        (["derive", "--dir", "{dump}", "--out", "{out}"], "mc.txt:2: duplicate"),
+    ],
+    ids=["negative-stream", "zero-batch", "duplicate-review-id"],
+)
+def test_bad_input_exits_2_without_traceback(tmp_path, args, message):
+    dump = tmp_path / "dump"
+    write_duplicate_review_dump(dump)
+    argv = [a.format(dump=dump, out=tmp_path / "out.txt") for a in args]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])
+    )}
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", *argv], capture_output=True, text=True, env=env
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert "error:" in result.stderr and message in result.stderr
