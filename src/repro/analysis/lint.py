@@ -16,7 +16,7 @@ R1  Every public mutator on a cache-carrying class (``Community``,
     ``self._invalidate()`` on ``UserPairMatrix``) or assign the cache
     attribute directly (``self._csr = None``).
 R2  Modules marked with a ``repro: hot-path`` comment may not call the
-    per-row/dict APIs (``entries()``, ``iter_ratings()``,
+    per-row/dict APIs (``entries()``, ``row()``, ``iter_ratings()``,
     ``direct_connections()``, ...) where a columnar equivalent exists.
 R3  Numeric modules may not drive float accumulation (``+=`` loops,
     ``sum(...)``) from ``set``/``frozenset`` iteration -- set order is
@@ -117,6 +117,7 @@ _MUTATING_METHODS = frozenset(
 _SLOW_CALLS: dict[str, str] = {
     "entries": "UserPairMatrix.entries_arrays()",
     "support": "UserPairMatrix.support_keys()",
+    "row": "UserPairMatrix.entries_arrays() / support_keys()",
     "iter_ratings": "Community.columns() rating columns",
     "iter_reviews": "Community.columns() review columns",
     "direct_connections": "CommunityColumns.direct_connection_arrays()",

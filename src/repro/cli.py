@@ -23,6 +23,8 @@ import argparse
 import sys
 from typing import Callable
 
+import numpy as np
+
 from repro import obs
 from repro.common.errors import ReproError
 from repro.datasets import (
@@ -53,10 +55,14 @@ from repro.experiments import (
     run_table4,
 )
 from repro.experiments.ablations import render_ablations, run_ablations
+from repro.matrix import UserPairMatrix
 from repro.reporting import render_table
 from repro.shard.cli import add_shard_parser, run_shard
 
 __all__ = ["main", "build_parser"]
+
+#: entries formatted per write by ``derive`` (bounds the text held at once)
+_WRITE_CHUNK = 1 << 16
 
 _EXPERIMENT_NAMES = (
     "table2",
@@ -212,12 +218,8 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "derive":
         community = _load_community(args)
         artifacts = run_pipeline(community=community)
-        count = 0
-        with open(args.out, "w", encoding="utf-8") as f:
-            for source, target, value in artifacts.derived.entries():
-                if value > args.min_trust:
-                    f.write(f"{source}|{target}|{value:.6f}\n")
-                    count += 1
+        with obs.span("cli.derive.write"):
+            count = _write_derived(artifacts.derived, args.min_trust, args.out)
         print(f"wrote {count} derived trust edges to {args.out}", file=out)
         return 0
 
@@ -316,6 +318,29 @@ def _run_update(args: argparse.Namespace, out) -> int:
             return 1
         print("final state verified bitwise against a cold build", file=out)
     return 0
+
+
+def _write_derived(derived: UserPairMatrix, min_trust: float, path: str) -> int:
+    """Write the entries above ``min_trust`` as ``source|target|value`` lines.
+
+    Lines are formatted a chunk of :data:`_WRITE_CHUNK` entries at a time
+    from the matrix's position arrays, so only one chunk's text is held in
+    memory.  Returns the number of lines written.
+    """
+    rows, cols, values = derived.entries_arrays()
+    keep = values > min_trust
+    rows, cols, values = rows[keep], cols[keep], values[keep]
+    labels = np.asarray(derived.users.labels, dtype=object)
+    with open(path, "w", encoding="utf-8") as f:
+        for start in range(0, values.size, _WRITE_CHUNK):
+            chunk = slice(start, start + _WRITE_CHUNK)
+            lines = zip(
+                labels[rows[chunk]].tolist(),
+                labels[cols[chunk]].tolist(),
+                values[chunk].tolist(),
+            )
+            f.write("".join(map("%s|%s|%.6f\n".__mod__, lines)))
+    return int(values.size)
 
 
 def _load_community(args: argparse.Namespace):

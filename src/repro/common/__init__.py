@@ -1,12 +1,14 @@
 """Shared low-level utilities used by every subsystem.
 
 This package deliberately contains nothing domain specific: error types,
-deterministic random-number helpers, validation helpers and identifier
-conventions.  Higher layers (:mod:`repro.community`, :mod:`repro.reputation`,
-...) build on top of it.
+deterministic random-number helpers, validation helpers, identifier
+conventions and the garbage-collector pause for bulk ingest.  Higher
+layers (:mod:`repro.community`, :mod:`repro.reputation`, ...) build on top
+of it.
 """
 
 from repro.common.arrays import AnyArray, BoolArray, FloatArray, IntArray
+from repro.common.collector import paused_gc
 from repro.common.contracts import (
     ArraySpec,
     ContractError,
@@ -49,6 +51,7 @@ __all__ = [
     "array_spec",
     "checked_arrays",
     "contracts_enabled",
+    "paused_gc",
     "ReproError",
     "ValidationError",
     "IntegrityError",

@@ -23,6 +23,7 @@ from itertools import islice
 from typing import Iterable, Iterator, TypeVar
 
 from repro import obs
+from repro.common.collector import paused_gc
 from repro.common.errors import IntegrityError, ValidationError
 from repro.community.columnar import CommunityColumns
 from repro.community.deltas import ChangeLog, DeltaKind
@@ -455,20 +456,26 @@ class Community:
         ratings: Iterable[ReviewRating] = (),
         trust: Iterable[TrustStatement] = (),
     ) -> "Community":
-        """Build a community from record iterables (order-safe)."""
+        """Build a community from record iterables (order-safe).
+
+        The cyclic collector is paused for the build (see
+        :func:`repro.common.paused_gc`): records form no reference cycles,
+        so a collection here would only walk them.
+        """
         community = cls(name)
-        for user in users:
-            community.add_user(user)
-        for cat in categories:
-            community.add_category(cat)
-        for obj in objects:
-            community.add_object(obj)
-        for review in reviews:
-            community.add_review(review)
-        for rating in ratings:
-            community.add_rating(rating)
-        for statement in trust:
-            community.add_trust(statement)
+        with paused_gc():
+            for user in users:
+                community.add_user(user)
+            for cat in categories:
+                community.add_category(cat)
+            for obj in objects:
+                community.add_object(obj)
+            for review in reviews:
+                community.add_review(review)
+            for rating in ratings:
+                community.add_rating(rating)
+            for statement in trust:
+                community.add_trust(statement)
         return community
 
     def summary(self) -> dict[str, int]:

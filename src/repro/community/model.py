@@ -1,9 +1,10 @@
 """Value types for community entities.
 
-These are plain frozen dataclasses; the :class:`repro.community.Community`
-class owns storage and integrity.  The numeric helpfulness scale follows the
-paper (§IV.A): Epinions' five rating stages *not helpful* ... *most helpful*
-are mapped to ``0.2, 0.4, 0.6, 0.8, 1.0``.
+These are plain frozen, slotted dataclasses (no per-instance ``__dict__``);
+the :class:`repro.community.Community` class owns storage and integrity.
+The numeric helpfulness scale follows the paper (§IV.A): Epinions' five
+rating stages *not helpful* ... *most helpful* are mapped to
+``0.2, 0.4, 0.6, 0.8, 1.0``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ def is_on_scale(value: float) -> bool:
     """Whether ``value`` is (numerically) one of the five helpfulness stages."""
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         return False
+    if value in _SCALE_SET:
+        return True
     return any(abs(value - stage) <= _SCALE_TOLERANCE for stage in HELPFULNESS_SCALE)
 
 
@@ -42,7 +45,7 @@ def _require_id(name: str, value: str) -> None:
         raise ValidationError(f"{name} must be a non-empty string, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class User:
     """A community member (may act as review writer, rater, or both)."""
 
@@ -53,7 +56,7 @@ class User:
         _require_id("user_id", self.user_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Category:
     """A review category (the paper's *context*), e.g. a movie genre."""
 
@@ -64,7 +67,7 @@ class Category:
         _require_id("category_id", self.category_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReviewedObject:
     """Something reviews are written about (a movie, a product, ...)."""
 
@@ -77,7 +80,7 @@ class ReviewedObject:
         _require_id("category_id", self.category_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Review:
     """A text review ``r_j`` written by ``writer_id`` about ``object_id``."""
 
@@ -91,7 +94,7 @@ class Review:
         _require_id("object_id", self.object_id)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ReviewRating:
     """A helpfulness rating ``rho_ij`` given by ``rater_id`` to ``review_id``."""
 
@@ -108,7 +111,7 @@ class ReviewRating:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TrustStatement:
     """An explicit, binary trust edge ``truster -> trustee`` (the web of trust)."""
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 import os
 from typing import Iterable
 
+from repro import obs
+from repro.common.collector import paused_gc
 from repro.common.errors import DatasetError, IntegrityError
 from repro.community import (
     Community,
@@ -82,77 +84,76 @@ def load_epinions_community(
     if not os.path.exists(rating_path):
         raise DatasetError(f"rating file not found: {rating_path}")
 
-    reviews = list(_parse_content(content_path, separator))
-    community = Community("epinions")
+    with obs.span("datasets.load", directory=directory), paused_gc():
+        reviews = list(_parse_content(content_path, separator))
+        community = Community("epinions")
 
-    categories = sorted({category for *_, category in reviews})
-    users: set[str] = set()
-    for _line_no, _review_id, author_id, _subject_id, _category in reviews:
-        users.add(author_id)
+        categories = sorted({category for *_, category in reviews})
+        users: set[str] = set()
+        for _line_no, _review_id, author_id, _subject_id, _category in reviews:
+            users.add(author_id)
 
-    ratings = list(_parse_ratings(rating_path, separator))
-    for _line_no, _review_id, member_id, _value in ratings:
-        users.add(member_id)
+        ratings = list(_parse_ratings(rating_path, separator))
+        for _line_no, _review_id, member_id, _value in ratings:
+            users.add(member_id)
 
-    trust_edges: list[tuple[str, str]] = []
-    if os.path.exists(trust_path):
-        trust_edges = list(_parse_trust(trust_path, separator))
-        for source, target in trust_edges:
-            users.add(source)
-            users.add(target)
+        trust_edges: list[tuple[str, str]] = []
+        if os.path.exists(trust_path):
+            trust_edges = list(_parse_trust(trust_path, separator))
+            for source, target in trust_edges:
+                users.add(source)
+                users.add(target)
 
-    for uid in sorted(users):
-        community.add_user(uid)
-    for cid in categories:
-        community.add_category(cid)
+        for uid in sorted(users):
+            community.add_user(uid)
+        for cid in categories:
+            community.add_category(cid)
 
-    # subjects (reviewed objects) may be shared across reviews, but not
-    # across categories
-    object_category: dict[str, str] = {}
-    known_reviews: set[str] = set()
-    for line_no, review_id, author_id, subject_id, category in reviews:
-        where = f"{content_path}:{line_no}"
-        listed = object_category.get(subject_id)
-        if listed is None:
-            community.add_object(ReviewedObject(subject_id, category))
-            object_category[subject_id] = category
-        elif listed != category:
-            raise DatasetError(
-                f"{where}: object {subject_id!r} listed under both {listed!r} "
-                f"and {category!r}"
-            )
-        try:
-            community.add_review(Review(review_id, author_id, subject_id))
-        except IntegrityError as exc:  # duplicate id, second review of an object
-            raise DatasetError(f"{where}: {exc}") from exc
-        known_reviews.add(review_id)
+        # subjects (reviewed objects) may be shared across reviews, but not
+        # across categories
+        object_category: dict[str, str] = {}
+        known_reviews: set[str] = set()
+        for line_no, review_id, author_id, subject_id, category in reviews:
+            listed = object_category.get(subject_id)
+            if listed is None:
+                community.add_object(ReviewedObject(subject_id, category))
+                object_category[subject_id] = category
+            elif listed != category:
+                raise DatasetError(
+                    f"{content_path}:{line_no}: object {subject_id!r} listed under "
+                    f"both {listed!r} and {category!r}"
+                )
+            try:
+                community.add_review(Review(review_id, author_id, subject_id))
+            except IntegrityError as exc:  # duplicate id, second review of an object
+                raise DatasetError(f"{content_path}:{line_no}: {exc}") from exc
+            known_reviews.add(review_id)
 
-    seen_pairs: set[tuple[str, str]] = set()
-    for line_no, review_id, member_id, value in ratings:
-        where = f"{rating_path}:{line_no}"
-        if review_id not in known_reviews:
-            if skip_unknown_reviews:
+        seen_pairs: set[tuple[str, str]] = set()
+        for line_no, review_id, member_id, value in ratings:
+            if review_id not in known_reviews:
+                if skip_unknown_reviews:
+                    continue
+                raise DatasetError(
+                    f"{rating_path}:{line_no}: rating references unknown review {review_id!r}"
+                )
+            if (member_id, review_id) in seen_pairs:
+                continue  # keep the first occurrence, as the site would
+            if skip_self_ratings and community.review_writer(review_id) == member_id:
                 continue
-            raise DatasetError(
-                f"{where}: rating references unknown review {review_id!r}"
-            )
-        if (member_id, review_id) in seen_pairs:
-            continue  # keep the first occurrence, as the site would
-        if skip_self_ratings and community.review_writer(review_id) == member_id:
-            continue
-        seen_pairs.add((member_id, review_id))
-        try:
-            community.add_rating(ReviewRating(member_id, review_id, value))
-        except IntegrityError as exc:  # a kept self-rating
-            raise DatasetError(f"{where}: {exc}") from exc
+            seen_pairs.add((member_id, review_id))
+            try:
+                community.add_rating(ReviewRating(member_id, review_id, value))
+            except IntegrityError as exc:  # a kept self-rating
+                raise DatasetError(f"{rating_path}:{line_no}: {exc}") from exc
 
-    seen_trust: set[tuple[str, str]] = set()
-    for source, target in trust_edges:
-        if source == target or (source, target) in seen_trust:
-            continue
-        seen_trust.add((source, target))
-        community.add_trust(TrustStatement(source, target))
-    return community
+        seen_trust: set[tuple[str, str]] = set()
+        for source, target in trust_edges:
+            if source == target or (source, target) in seen_trust:
+                continue
+            seen_trust.add((source, target))
+            community.add_trust(TrustStatement(source, target))
+        return community
 
 
 def write_epinions_files(

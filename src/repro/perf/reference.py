@@ -6,11 +6,15 @@ numpy work whose results are materialised through per-entry Python calls
 lookups per entry, dense edge loops).  :func:`reference_solve_category` is
 the triple-based RIGGS solver with its own sweep loop, copied verbatim
 (only the function names changed) from the last release that had one, so
-the production solver is checked against an independent implementation.  They exist for two
-reasons:
+the production solver is checked against an independent implementation.
+:func:`reference_generousness` and :func:`reference_binarize_top_k` are the
+per-row §IV.C evaluation tail (one ``row()`` and one sorted list per user),
+copied verbatim (only the function names changed) from the last release
+that ran it that way.  They exist for two reasons:
 
 - **equivalence testing** -- the vectorised kernels must produce identical
-  results (see ``tests/trust/test_kernel_equivalence.py``);
+  results (see ``tests/trust/test_kernel_equivalence.py`` and
+  ``tests/trust/test_binarize_equivalence.py``);
 - **benchmarking** -- :mod:`repro.perf.bench` times them as the "before"
   side of ``BENCH_perf.json``.
 
@@ -37,6 +41,8 @@ __all__ = [
     "reference_fit_expertise",
     "reference_solve_category",
     "reference_eigen_trust",
+    "reference_generousness",
+    "reference_binarize_top_k",
 ]
 
 
@@ -337,3 +343,76 @@ def reference_eigen_trust(
         residual=residual,
         tolerance=tolerance,
     )
+
+
+def reference_generousness(
+    connections: UserPairMatrix, ground_truth: UserPairMatrix
+) -> dict[str, float]:
+    """Per-user trust generousness ``k_i = |R_i ∩ T_i| / |R_i|``.
+
+    Users with no direct connections get ``k_i = 0`` (no evidence of any
+    willingness to trust).
+    """
+    if connections.users != ground_truth.users:
+        raise ValidationError("connection and ground-truth matrices must share a user axis")
+    result: dict[str, float] = {}
+    for source in connections.source_ids():
+        row = connections.row(source)
+        if not row:
+            continue
+        trusted = sum(1 for target in row if ground_truth.contains(source, target))
+        result[source] = trusted / len(row)
+    return result
+
+
+def reference_binarize_top_k(
+    matrix: UserPairMatrix,
+    k_by_user: Mapping[str, float],
+    *,
+    default_k: float = 0.0,
+) -> UserPairMatrix:
+    """Binarise each row of ``matrix`` at the user's top-``k`` fraction.
+
+    For user *i* with ``n_i`` stored entries, the ``round(k_i * n_i)``
+    highest-valued entries become 1; everything else is dropped.  Ties at
+    the cut are resolved in favour of earlier axis positions (stable), the
+    way a site would cut a ranked list: rows iterate in canonical
+    row-major order, so equal matrices always binarise identically
+    regardless of the order their entries were stored in.
+
+    Parameters
+    ----------
+    matrix:
+        Continuous trust values (e.g. ``T-hat`` or baseline ``B``).
+    k_by_user:
+        Per-user fractions in ``[0, 1]`` (missing users fall back to
+        ``default_k``).
+
+    Returns
+    -------
+    UserPairMatrix
+        A binary matrix whose stored entries all have value 1.0.
+    """
+    for user, k in k_by_user.items():
+        if not 0.0 <= k <= 1.0:
+            raise ValidationError(f"k for user {user!r} must be in [0, 1], got {k!r}")
+    if not 0.0 <= default_k <= 1.0:
+        raise ValidationError(f"default_k must be in [0, 1], got {default_k!r}")
+
+    result = UserPairMatrix(matrix.users)
+    for source in matrix.source_ids():
+        row = matrix.row(source)
+        k = k_by_user.get(source, default_k)
+        keep = _round_half_up(k * len(row))
+        if keep <= 0:
+            continue
+        # stable: sort by value descending, preserving insertion order on ties
+        ranked = sorted(row.items(), key=lambda item: -item[1])
+        for target, _value in ranked[:keep]:
+            result.set(source, target, 1.0)
+    return result
+
+
+def _round_half_up(x: float) -> int:
+    """Round to nearest integer, halves up, with float-noise tolerance."""
+    return int(x + 0.5 + 1e-9)

@@ -15,10 +15,15 @@ makes the comparison fair while respecting that some users hand out trust
 freely and others almost never.
 """
 
+# repro: hot-path
+
 from __future__ import annotations
 
 from typing import Mapping
 
+import numpy as np
+
+from repro.common.arrays import FloatArray, IntArray
 from repro.common.errors import ValidationError
 from repro.matrix import UserPairMatrix
 
@@ -31,18 +36,27 @@ def generousness(
     """Per-user trust generousness ``k_i = |R_i ∩ T_i| / |R_i|``.
 
     Users with no direct connections get ``k_i = 0`` (no evidence of any
-    willingness to trust).
+    willingness to trust): they are left out of the result, and
+    :func:`binarize_top_k` reads a missing user as its ``default_k``.
+    Both counts come from one join of the two matrices' flat keys.
     """
     if connections.users != ground_truth.users:
         raise ValidationError("connection and ground-truth matrices must share a user axis")
-    result: dict[str, float] = {}
-    for source in connections.source_ids():
-        row = connections.row(source)
-        if not row:
-            continue
-        trusted = sum(1 for target in row if ground_truth.contains(source, target))
-        result[source] = trusted / len(row)
-    return result
+    n = len(connections.users)
+    keys = connections.support_keys()
+    if not keys.size:
+        return {}
+    shared = np.intersect1d(keys, ground_truth.support_keys(), assume_unique=True)
+    connected = np.bincount(keys // n, minlength=n)
+    trusted = np.bincount(shared // n, minlength=n)
+    sources = np.flatnonzero(connected)
+    labels = connections.users.labels
+    return {
+        labels[i]: t / c
+        for i, t, c in zip(
+            sources.tolist(), trusted[sources].tolist(), connected[sources].tolist()
+        )
+    }
 
 
 def binarize_top_k(
@@ -56,9 +70,10 @@ def binarize_top_k(
     For user *i* with ``n_i`` stored entries, the ``round(k_i * n_i)``
     highest-valued entries become 1; everything else is dropped.  Ties at
     the cut are resolved in favour of earlier axis positions (stable), the
-    way a site would cut a ranked list: rows iterate in canonical
-    row-major order, so equal matrices always binarise identically
-    regardless of the order their entries were stored in.
+    way a site would cut a ranked list: one stable sort orders every row
+    by value, descending, keeping row-major (axis) order among equal
+    values, so equal matrices always binarise identically regardless of
+    the order their entries were stored in.
 
     Parameters
     ----------
@@ -66,7 +81,7 @@ def binarize_top_k(
         Continuous trust values (e.g. ``T-hat`` or baseline ``B``).
     k_by_user:
         Per-user fractions in ``[0, 1]`` (missing users fall back to
-        ``default_k``).
+        ``default_k``; users off the matrix's axis are ignored).
 
     Returns
     -------
@@ -79,20 +94,29 @@ def binarize_top_k(
     if not 0.0 <= default_k <= 1.0:
         raise ValidationError(f"default_k must be in [0, 1], got {default_k!r}")
 
-    result = UserPairMatrix(matrix.users)
-    for source in matrix.source_ids():
-        row = matrix.row(source)
-        k = k_by_user.get(source, default_k)
-        keep = _round_half_up(k * len(row))
-        if keep <= 0:
-            continue
-        # stable: sort by value descending, preserving insertion order on ties
-        ranked = sorted(row.items(), key=lambda item: -item[1])
-        for target, _value in ranked[:keep]:
-            result.set(source, target, 1.0)
-    return result
+    users = matrix.users
+    n = len(users)
+    keys = matrix.support_keys()
+    if not keys.size:
+        return UserPairMatrix(users)
+    k_by_row = np.full(n, default_k, dtype=np.float64)
+    for user, k in k_by_user.items():
+        if user in users:
+            k_by_row[users.position(user)] = k
+    rows = keys // n
+    counts = np.bincount(rows, minlength=n)
+    keep = _round_half_up(k_by_row * counts)
+    # keys are row-major sorted, so the row-primary stable sort leaves every
+    # entry in its own row's block: its rank is its offset in that block
+    order = np.lexsort((-matrix.values(), rows))
+    row_start = np.cumsum(counts) - counts
+    rank = np.arange(keys.size) - row_start[rows]
+    selected = np.zeros(keys.size, dtype=bool)
+    selected[order[rank < keep[rows]]] = True
+    kept = keys[selected]
+    return UserPairMatrix.from_flat_sorted(users, kept, np.ones(kept.size))
 
 
-def _round_half_up(x: float) -> int:
+def _round_half_up(x: FloatArray) -> IntArray:
     """Round to nearest integer, halves up, with float-noise tolerance."""
-    return int(x + 0.5 + 1e-9)
+    return (x + 0.5 + 1e-9).astype(np.int64)

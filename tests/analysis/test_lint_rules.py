@@ -127,7 +127,7 @@ class TestR1CacheInvalidation:
 class TestR2HotPathColumnar:
     @pytest.mark.parametrize(
         "call",
-        ["entries", "support", "iter_ratings", "iter_reviews",
+        ["entries", "support", "row", "iter_ratings", "iter_reviews",
          "direct_connections", "rating_triples"],
     )
     def test_fires_on_each_slow_call(self, call):
@@ -140,6 +140,18 @@ class TestR2HotPathColumnar:
         )
         assert rules_of(findings) == ["R2"]
         assert f".{call}()" in findings[0].message
+
+    def test_row_lookup_points_at_the_flat_key_apis(self):
+        findings = lint(
+            """
+            # repro: hot-path
+            def f(m, users):
+                return [len(m.row(u)) for u in users]
+            """
+        )
+        assert rules_of(findings) == ["R2"]
+        assert "entries_arrays()" in findings[0].message
+        assert "support_keys()" in findings[0].message
 
     def test_silent_without_hot_path_marker(self):
         findings = lint(

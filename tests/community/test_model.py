@@ -1,5 +1,7 @@
 """Tests for community value types."""
 
+import pickle
+
 import pytest
 
 from repro.common.errors import ValidationError
@@ -29,6 +31,14 @@ class TestHelpfulnessScale:
 
     @pytest.mark.parametrize("value", [0.0, 0.3, 1.2, -0.2, "0.2", True, None])
     def test_off_scale_values(self, value):
+        assert not is_on_scale(value)
+
+    @pytest.mark.parametrize("value", [*HELPFULNESS_SCALE, 0.6 + 1e-10, 1])
+    def test_exact_stages_tolerance_and_integer_accepted(self, value):
+        assert is_on_scale(value)
+
+    @pytest.mark.parametrize("value", [0.61, True, "0.6", float("nan")])
+    def test_near_misses_and_non_numbers_rejected(self, value):
         assert not is_on_scale(value)
 
 
@@ -68,3 +78,33 @@ class TestEntityValidation:
 
     def test_entities_are_hashable(self):
         assert len({User("u1"), User("u1"), User("u2")}) == 2
+
+
+RECORDS = [
+    User("u1", "Ann"),
+    Category("c1", "Movies"),
+    ReviewedObject("o1", "c1", "A film"),
+    Review("r1", "u1", "o1"),
+    ReviewRating("u2", "r1", 0.8),
+    TrustStatement("u1", "u2"),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+class TestSlottedRecords:
+    def test_no_instance_dict(self, record):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises((AttributeError, TypeError)):
+            record.extra = 1
+
+    def test_pickle_round_trip(self, record):
+        restored = pickle.loads(pickle.dumps(record))
+        assert type(restored) is type(record)
+        assert restored == record
+        assert hash(restored) == hash(record)
+
+    def test_value_equality_and_hash(self, record):
+        twin = type(record)(*(getattr(record, name) for name in record.__slots__))
+        assert twin == record and twin is not record
+        assert hash(twin) == hash(record)
+        assert len({record, twin}) == 1

@@ -56,6 +56,15 @@ class TestCliTrace:
         assert all("category" in r.get("attributes", {}) for r in riggs)
         assert document["histograms"]["step1.sweeps"]["count"] == len(riggs)
 
+    def test_derive_trace_covers_load_and_write(self, tmp_path, capsys):
+        data_dir = str(tmp_path / "data")
+        trace = tmp_path / "trace.json"
+        assert cli_main(["generate", *ARGS, "--out", data_dir]) == 0
+        argv = ["derive", "--dir", data_dir, "--out", str(tmp_path / "trust.txt")]
+        assert cli_main([*argv, "--trace", str(trace)]) == 0
+        names = span_names(json.loads(trace.read_text()))
+        assert {"datasets.load", "pipeline.run", "cli.derive.write"} <= names
+
     def test_report_renders_cli_trace(self, tmp_path, capsys):
         trace = tmp_path / "trace.json"
         assert cli_main(["table2", *ARGS, "--trace", str(trace)]) == 0

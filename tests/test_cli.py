@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import hashlib
 import os
 import pathlib
 import subprocess
@@ -8,6 +9,8 @@ import sys
 import pytest
 
 from repro.cli import build_parser, main
+from repro.datasets import generate_community
+from repro.experiments import paper_profile, run_pipeline
 
 ARGS = ["--users", "150", "--seed", "3"]
 
@@ -78,6 +81,47 @@ class TestCommands:
     def test_table2_command(self, capsys):
         assert main(["table2", *ARGS]) == 0
         assert "Table 2" in capsys.readouterr().out
+
+
+#: sha256 of the file ``repro derive --users 300 --seed 11`` writes, recorded
+#: when each line was still formatted and written one entry at a time
+DERIVE_300_11_SHA256 = "a0faaec9acf8ad122b4cbf19aeeb9f1cd875657fc8e6cc45f8434f6f076239fa"
+DERIVE_300_11 = ["derive", "--users", "300", "--seed", "11"]
+
+
+class TestDeriveOutputBytes:
+    @pytest.fixture(scope="class")
+    def derived(self):
+        community = generate_community(paper_profile(300), 11).community
+        return run_pipeline(community=community).derived
+
+    @staticmethod
+    def per_entry_output(derived, min_trust):
+        """The derive output as written entry by entry, with its line count."""
+        lines = [
+            f"{source}|{target}|{value:.6f}\n"
+            for source, target, value in derived.entries()
+            if value > min_trust
+        ]
+        return "".join(lines).encode("utf-8"), len(lines)
+
+    def test_default_output_matches_recorded_digest(self, tmp_path, capsys):
+        out = tmp_path / "trust.txt"
+        assert main([*DERIVE_300_11, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == DERIVE_300_11_SHA256
+        assert "wrote 21187 derived trust edges" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("min_trust", ["0.2", "1.0"])
+    def test_min_trust_matches_per_entry_loop(self, tmp_path, capsys, derived, min_trust):
+        out = tmp_path / "trust.txt"
+        assert main([*DERIVE_300_11, "--min-trust", min_trust, "--out", str(out)]) == 0
+        expected, count = self.per_entry_output(derived, float(min_trust))
+        assert out.read_bytes() == expected
+        assert f"wrote {count} derived trust edges" in capsys.readouterr().out
+        if min_trust == "1.0":
+            assert count == 0 and expected == b""
+        else:
+            assert 0 < count < derived.num_entries()
 
 
 SRC_DIR = pathlib.Path(__file__).resolve().parent.parent / "src"
