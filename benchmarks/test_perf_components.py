@@ -89,23 +89,16 @@ def test_bench_emitter_quick_mode(tmp_path):
     assert document["derive_matrices_identical"]
     assert document["step1_matrices_identical"]
     assert document["incremental_identical"]
-    assert document["shard_identical"]
-    assert document["shard_propagation_identical"]
-    assert document["shard_checksums_ok"]
     assert set(document["kernels"]) == {
         "derive",
         "step1_fit",
         "step1_fit_batched",
         "propagation_eigentrust",
         "incremental",
-        "shard",
     }
     incremental = document["kernels"]["incremental"]
     assert incremental["batch"] == 1
     assert incremental["stream"] >= 1
-    shard = document["kernels"]["shard"]
-    assert shard["shards"] >= 1
-    assert shard["sharded_peak_bytes"] > 0
 
 
 def test_perf_generation_scales(benchmark):

@@ -26,7 +26,7 @@ R4  :class:`repro.community.CommunityColumns` attributes are write-once:
     inside the class nor on a ``columns()`` view held by a consumer.
 R5  Modules of the strict-typed packages (``repro.matrix``,
     ``repro.community``, ``repro.propagation``, ``repro.reputation``,
-    ``repro.obs``, ``repro.engine``, ``repro.shard``) must annotate
+    ``repro.obs``, ``repro.engine``) must annotate
     every function parameter and return type (the local, always-runnable
     mirror of the ``mypy --strict`` CI gate).
 R6  ``span(...)`` calls (the :mod:`repro.obs` timing API) must be entered
@@ -138,11 +138,10 @@ _NUMERIC_PACKAGES = frozenset(
         "trust",
         "affinity",
         "metrics",
-        "shard",
     }
 )
 _TYPED_PACKAGES = frozenset(
-    {"matrix", "community", "propagation", "reputation", "obs", "engine", "shard"}
+    {"matrix", "community", "propagation", "reputation", "obs", "engine"}
 )
 
 #: R4: the write-once columnar view class and its constructor entry points.

@@ -10,8 +10,6 @@ Subcommands
   a suffix of ratings, replay them in batches through
   :class:`repro.engine.Engine`, print what each update recomputed vs
   reused, and verify the final state bitwise against a cold build;
-- ``shard`` -- build / inspect / verify a sharded artifact store
-  (:mod:`repro.shard.cli`);
 - ``table2`` / ``table3`` / ``fig3`` / ``table4`` / ``score-gap`` /
   ``ablations`` / ``propagation`` -- reproduce one experiment;
 - ``all`` -- run every experiment and print the full report.
@@ -57,7 +55,6 @@ from repro.experiments import (
 from repro.experiments.ablations import render_ablations, run_ablations
 from repro.matrix import UserPairMatrix
 from repro.reporting import render_table
-from repro.shard.cli import add_shard_parser, run_shard
 
 __all__ = ["main", "build_parser"]
 
@@ -97,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(derive)
     derive.add_argument("--out", required=True, help="output file (source|target|value)")
     derive.add_argument(
-        "--min-trust", type=float, default=0.0, help="drop derived values <= this"
+        "--min-trust", type=_finite_float, default=0.0, help="drop derived values <= this"
     )
 
     update = sub.add_parser(
@@ -122,8 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the final bitwise comparison against a cold build",
     )
 
-    add_shard_parser(sub)
-
     for name in _EXPERIMENT_NAMES:
         experiment = sub.add_parser(name, help=f"reproduce {name}")
         _add_dataset_args(experiment)
@@ -145,6 +140,17 @@ def _int_at_least(minimum: int) -> Callable[[str], int]:
 
     parse.__name__ = "int"  # argparse names the type in its error message
     return parse
+
+
+def _finite_float(text: str) -> float:
+    """An argparse ``type`` accepting finite floats (no ``nan``/``inf``)."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+_finite_float.__name__ = "float"  # argparse names the type in its error message
 
 
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
@@ -225,9 +231,6 @@ def _run(args: argparse.Namespace) -> int:
 
     if args.command == "update":
         return _run_update(args, out)
-
-    if args.command == "shard":
-        return run_shard(args, out)
 
     if args.command == "report":
         from repro.experiments import build_report

@@ -39,9 +39,6 @@ from repro.propagation import PropagationScores, eigen_trust
 from repro.reputation import ExpertiseResult, RiggsConfig
 from repro.reputation.estimator import ExpertiseEstimator
 from repro.reputation.incremental import IncrementalExpertise
-from repro.shard.config import ShardConfig
-from repro.shard.matrix import ShardedPairMatrix
-from repro.shard.store import ShardStore
 from repro.trust import TrustDeriver
 
 __all__ = [
@@ -84,18 +81,11 @@ class UpdateStats:
 
 @dataclass(frozen=True)
 class EngineArtifacts:
-    """The staged pipeline outputs, all consistent at ``stamps``.
-
-    ``derived`` is a :class:`repro.shard.ShardedPairMatrix` when the
-    engine runs with a :class:`repro.shard.ShardConfig`, an in-memory
-    :class:`repro.matrix.UserPairMatrix` otherwise; the two compare
-    bitwise against each other, so :meth:`differences` works across
-    backends.
-    """
+    """The staged pipeline outputs, all consistent at ``stamps``."""
 
     expertise_result: ExpertiseResult
     affiliation: UserCategoryMatrix
-    derived: UserPairMatrix | ShardedPairMatrix
+    derived: UserPairMatrix
     scores: PropagationScores
     stamps: StageStamps
 
@@ -156,14 +146,6 @@ class Engine:
         cold whenever ``T-hat`` moved.  ``False``: Step-1 and propagation
         warm-start from the previous state, trading bitwise identity (the
         results still agree to solver tolerance) for fewer sweeps.
-    shard_config:
-        When set, ``T-hat`` lives in a :class:`repro.shard.ShardedPairMatrix`
-        backed by this config's store: cold builds stream shard by shard
-        (:meth:`repro.trust.TrustDeriver.derive_sharded`), propagation
-        sweeps the shards out of core, and incremental updates patch only
-        the shards a delta's derive region touches -- in place, without
-        materialising the whole matrix.  Axis growth (new users or
-        categories) falls back to a full sharded re-derive.
     compact_log:
         ``True`` (default): after each update the engine compacts the
         community's change log up to the epoch it just consumed -- its
@@ -186,7 +168,6 @@ class Engine:
         max_iterations: int = 1000,
         pretrust: dict[str, float] | None = None,
         exact: bool = True,
-        shard_config: ShardConfig | None = None,
         compact_log: bool = True,
     ) -> None:
         self._community = community
@@ -197,10 +178,6 @@ class Engine:
         self._max_iterations = max_iterations
         self._pretrust = pretrust
         self._exact = exact
-        self._shard_config = shard_config
-        self._shard_store: ShardStore | None = (
-            shard_config.make_store() if shard_config is not None else None
-        )
         self._compact_log = compact_log
         self._tracker = IncrementalExpertise(
             community,
@@ -279,7 +256,7 @@ class Engine:
         epoch: int,
         deltas_applied: int,
     ) -> tuple[EngineArtifacts, UpdateStats]:
-        derived = self._derive_full(affiliation, expertise_result.expertise)
+        derived = self._deriver.derive(affiliation, expertise_result.expertise)
         scores = self._propagate(derived, initial=None)
         stamps = StageStamps(
             columns=epoch,
@@ -313,15 +290,10 @@ class Engine:
         grew_categories = old_a.shape[1] != new_a.shape[1]
         grew_users = old_a.shape[0] != new_a.shape[0]
 
-        sharded = self._shard_config is not None
-        if grew_categories or (sharded and grew_users):
-            # a new category extends every reduction in eq. 5 (and the
-            # sharded backend's in-place patch cannot grow its axis);
-            # re-derive in full rather than reason about padded
-            # accumulation orders
-            derived: UserPairMatrix | ShardedPairMatrix = self._derive_full(
-                affiliation, expertise
-            )
+        if grew_categories:
+            # a new category extends every reduction in eq. 5: re-derive
+            # in full rather than reason about padded accumulation orders
+            derived = self._deriver.derive(affiliation, expertise)
             derived_changed = True
             pairs_rederived = derived.num_entries()
             pairs_reused = 0
@@ -339,16 +311,10 @@ class Engine:
             elif (rows.size + cols.size) * 2 >= n:
                 # the changed region covers most of the matrix: a plain full
                 # derive is cheaper than region + patch and equally bitwise
-                derived = self._derive_full(affiliation, expertise)
+                derived = self._deriver.derive(affiliation, expertise)
                 derived_changed = True
                 pairs_rederived = derived.num_entries()
                 pairs_reused = 0
-            elif isinstance(previous.derived, ShardedPairMatrix):
-                derived, pairs_reused = self._patched_derive_sharded(
-                    previous.derived, affiliation, expertise, rows=rows, cols=cols
-                )
-                derived_changed = True
-                pairs_rederived = derived.num_entries() - pairs_reused
             else:
                 derived, pairs_reused = self._patched_derive(
                     previous.derived, affiliation, expertise, rows=rows, cols=cols
@@ -414,52 +380,13 @@ class Engine:
         region = self._deriver.derive_region(
             affiliation, expertise, rows=rows, cols=cols
         )
-        return previous_derived.patched(
-            affiliation.users, region, rows=rows, cols=cols
-        )
-
-    def _patched_derive_sharded(
-        self,
-        previous_derived: ShardedPairMatrix,
-        affiliation: UserCategoryMatrix,
-        expertise: UserCategoryMatrix,
-        *,
-        rows: IntArray,
-        cols: IntArray,
-    ) -> tuple[ShardedPairMatrix, int]:
-        """Recompute the changed region and patch it into the shards in place.
-
-        Only the shards the region touches are rewritten (each through the
-        same O(nnz) masked scatter as the in-memory path, so the result
-        stays bitwise); untouched shards -- possibly still on disk -- are
-        not read at all.
-        """
-        region = self._deriver.derive_region(
-            affiliation, expertise, rows=rows, cols=cols
-        )
-        kept, touched = previous_derived.patch_with(region, rows=rows, cols=cols)
-        obs.add("engine.shard.shards_patched", touched)
-        obs.add(
-            "engine.shard.shards_untouched", previous_derived.num_shards - touched
-        )
-        return previous_derived, kept
-
-    def _derive_full(
-        self, affiliation: UserCategoryMatrix, expertise: UserCategoryMatrix
-    ) -> UserPairMatrix | ShardedPairMatrix:
-        """A full ``T-hat`` build on the configured backend."""
-        if self._shard_config is None:
-            return self._deriver.derive(affiliation, expertise)
-        return self._deriver.derive_sharded(
-            affiliation,
-            expertise,
-            layout=self._shard_config.layout_for(len(affiliation.users)),
-            store=self._shard_store,
-            spill_bytes=self._shard_config.spill_bytes,
-        )
+        with obs.span("engine.patch"):
+            return previous_derived.patched(
+                affiliation.users, region, rows=rows, cols=cols
+            )
 
     def _propagate(
-        self, derived: UserPairMatrix | ShardedPairMatrix, *, initial: FloatArray | None
+        self, derived: UserPairMatrix, *, initial: FloatArray | None
     ) -> PropagationScores:
         return eigen_trust(
             derived,

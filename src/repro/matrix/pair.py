@@ -22,6 +22,14 @@ from repro.matrix.labels import LabelIndex
 __all__ = ["UserPairMatrix"]
 
 
+def _require_pair_value(value: float) -> None:
+    """Reject a point-write value that is not a finite real number."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ValidationError(f"pair value must be a number, got {value!r}")
+    if not np.isfinite(value):
+        raise ValidationError(f"pair value must be finite, got {value!r}")
+
+
 class UserPairMatrix:
     """A sparse ``U x U`` matrix of user-pair values with named axes.
 
@@ -67,10 +75,7 @@ class UserPairMatrix:
 
     def set(self, source_id: str, target_id: str, value: float) -> None:
         """Store ``value`` for the (source, target) pair."""
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValidationError(f"pair value must be a number, got {value!r}")
-        if not np.isfinite(value):
-            raise ValidationError(f"pair value must be finite, got {value!r}")
+        _require_pair_value(value)
         i = self.users.position(source_id)
         j = self.users.position(target_id)
         self._flush_accum()
@@ -127,6 +132,7 @@ class UserPairMatrix:
         search on the sorted keys), new pairs buffer into a pending sum
         that the next consolidation folds in.
         """
+        _require_pair_value(value)
         i = self.users.position(source_id)
         j = self.users.position(target_id)
         key = i * self._n + j

@@ -14,9 +14,6 @@ prints, from one trace document:
   deltas applied, Step-1 categories re-solved vs skipped, ``T-hat`` pairs
   re-derived vs reused, propagation sweeps saved -- each with its reuse
   ratio;
-- a **shard IO** section (when ``shard.*`` counters are present): bytes
-  and files written/read, cache hits vs mmap misses, spills, patched
-  shards;
 - a **convergence summary** per iterative kernel (count, worst residual,
   iteration range, whether every run converged).
 
@@ -178,42 +175,6 @@ def _engine_table(counters: Mapping[str, Any]) -> str | None:
     )
 
 
-def _shard_table(counters: Mapping[str, Any]) -> str | None:
-    """The sharded-store IO summary, or ``None`` when absent."""
-    if not any(str(name).startswith("shard.") for name in counters):
-        return None
-
-    def human(n: int) -> str:
-        return f"{n / 1024:.1f} KiB" if n else "0"
-
-    rows: list[list[object]] = [
-        [
-            "written",
-            int(counters.get("shard.write.files", 0)),
-            human(int(counters.get("shard.write.bytes", 0))),
-        ],
-        [
-            "read (mmap)",
-            int(counters.get("shard.read.files", 0)),
-            human(int(counters.get("shard.read.bytes", 0))),
-        ],
-    ]
-    hits = int(counters.get("shard.hit", 0))
-    misses = int(counters.get("shard.miss", 0))
-    rows.append(["cache hits / misses", f"{hits} / {misses}", "-"])
-    spills = int(counters.get("shard.spill", 0))
-    if spills:
-        rows.append(["spills over budget", spills, "-"])
-    patched = int(counters.get("shard.patched_shards", 0))
-    untouched = int(counters.get("engine.shard.shards_untouched", 0))
-    if patched or untouched:
-        rows.append(["shards patched / untouched", f"{patched} / {untouched}", "-"])
-    sweeps = int(counters.get("propagation.eigentrust.shard_sweeps", 0))
-    if sweeps:
-        rows.append(["eigentrust shard sweeps", sweeps, "-"])
-    return render_table(["shard IO", "files", "bytes"], rows, title="Sharded store")
-
-
 def render_trace_report(document: Mapping[str, Any]) -> str:
     """The full multi-table report for one trace document."""
     sections: list[str] = []
@@ -228,9 +189,6 @@ def render_trace_report(document: Mapping[str, Any]) -> str:
         engine_section = _engine_table(counters)
         if engine_section is not None:
             sections.append(engine_section)
-        shard_section = _shard_table(counters)
-        if shard_section is not None:
-            sections.append(shard_section)
     histograms = document.get("histograms") or {}
     if histograms:
         rows = [

@@ -17,17 +17,7 @@ Times the vectorised hot paths against the frozen seed implementations in
   state on a fresh replica.  The final incremental state is checked
   bitwise against the cold build (``incremental_identical``), and
   ``--check`` enforces a minimum update-vs-cold speedup
-  (``--min-update-speedup``, default 2x);
-- **shard** -- the out-of-core backend: ``T-hat`` is derived once
-  in-memory and once shard-by-shard with a per-shard spill budget
-  (:meth:`repro.trust.TrustDeriver.derive_sharded`), comparing wall
-  time and -- via :mod:`tracemalloc` -- the peak *incremental* heap of
-  the pair-matrix build stage.  The sharded matrix must be bitwise
-  equal to the in-memory one, sharded eigentrust must reproduce the
-  dense scores bitwise, and the flushed store must pass checksum
-  verification; ``--check`` enforces all three plus a peak-memory
-  ceiling (``--max-shard-peak-ratio``, default 0.5x the in-memory
-  build at the default 4-shard split).
+  (``--min-update-speedup``, default 2x).
 
 Run it as a module::
 
@@ -50,15 +40,11 @@ when any iterative kernel reported ``converged=False``.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
 import platform
 import sys
 import time
-import tracemalloc
 from typing import Callable
-
-import numpy as np
 
 from repro import obs
 from repro.affinity import AffinityEstimator
@@ -75,8 +61,6 @@ from repro.perf.reference import (
 )
 from repro.propagation import eigen_trust
 from repro.reputation import ExpertiseEstimator
-from repro.shard import ShardLayout, ShardStore
-from repro.shard.matrix import ENTRY_BYTES, ShardedPairMatrix
 from repro.trust import TrustDeriver, direct_connection_matrix
 
 __all__ = ["run_kernel_bench"]
@@ -110,97 +94,7 @@ def _traced_pass(
         ExpertiseEstimator().fit(community)
         TrustDeriver().derive(affiliation, expertise)
         eigen_trust(connections)
-        sharded = TrustDeriver().derive_sharded(
-            affiliation, expertise, store=ShardStore.temporary()
-        )
-        eigen_trust(sharded)
-        sharded.flush()
     return recorder.to_dict()
-
-
-def _peak_incremental_bytes(callable_: Callable[[], object]) -> tuple[int, object]:
-    """Peak heap growth of one call, in bytes, via :mod:`tracemalloc`.
-
-    The baseline is subtracted, so pre-existing allocations (the inputs)
-    do not count; memory-mapped shard pages are not heap and never count,
-    which is exactly the accounting the out-of-core backend is about.
-    """
-    gc.collect()
-    tracemalloc.start()
-    try:
-        baseline, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        result = callable_()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return max(0, peak - baseline), result
-
-
-def _bench_shard(
-    affiliation: UserCategoryMatrix,
-    expertise: UserCategoryMatrix,
-    dense: UserPairMatrix,
-    *,
-    num_shards: int,
-    spill_bytes: int,
-    shard_dir: str | None,
-    repeats: int,
-) -> tuple[dict, bool, bool, bool]:
-    """Compare the sharded ``T-hat`` build against the in-memory one.
-
-    Returns ``(timing entry, derive identical, propagation identical,
-    checksums ok)``.  The peak-memory figures cover only the pair-matrix
-    build stage (the quadratic artifact); the dense inputs are alive in
-    both measurements and excluded by the baseline.
-    """
-    deriver = TrustDeriver()
-    entries = dense.num_entries()
-    if spill_bytes <= 0:
-        # auto budget: half an (even) shard's entries, so every completed
-        # shard spills and the heap never holds more than ~one shard
-        spill_bytes = max(ENTRY_BYTES, ENTRY_BYTES * entries // max(1, num_shards) // 2)
-    layout = ShardLayout.even(len(affiliation.users), num_shards)
-
-    def build_sharded() -> ShardedPairMatrix:
-        store = ShardStore(shard_dir) if shard_dir else ShardStore.temporary()
-        return deriver.derive_sharded(
-            affiliation, expertise, layout=layout, store=store, spill_bytes=spill_bytes
-        )
-
-    dense_s, _ = _best_of(lambda: deriver.derive(affiliation, expertise), repeats)
-    sharded_s, _ = _best_of(build_sharded, repeats)
-    dense_peak, dense_again = _peak_incremental_bytes(
-        lambda: deriver.derive(affiliation, expertise)
-    )
-    del dense_again
-    sharded_peak, sharded_obj = _peak_incremental_bytes(build_sharded)
-    assert isinstance(sharded_obj, ShardedPairMatrix)
-    sharded: ShardedPairMatrix = sharded_obj
-
-    identical = sharded == dense
-    dense_scores = eigen_trust(dense)
-    sharded_scores = eigen_trust(sharded)
-    propagation_identical = bool(
-        np.array_equal(dense_scores.scores_array(), sharded_scores.scores_array())
-    ) and dense_scores.iterations == sharded_scores.iterations
-    sharded.flush(epoch=0)
-    store = sharded.store
-    assert store is not None
-    checksums_ok = store.verify() == []
-
-    entry = {
-        "before_s": round(dense_s, 6),
-        "after_s": round(sharded_s, 6),
-        "speedup": round(dense_s / sharded_s, 2) if sharded_s > 0 else None,
-        "dense_peak_bytes": int(dense_peak),
-        "sharded_peak_bytes": int(sharded_peak),
-        "peak_ratio": round(sharded_peak / dense_peak, 4) if dense_peak else None,
-        "shards": num_shards,
-        "spill_bytes": int(spill_bytes),
-        "entries": entries,
-    }
-    return entry, identical, propagation_identical, checksums_ok
 
 
 def _bench_incremental(
@@ -263,9 +157,6 @@ def run_kernel_bench(
     out_path: str | None = None,
     quick: bool = False,
     trace_path: str | None = None,
-    num_shards: int = 4,
-    shard_spill_bytes: int = 0,
-    shard_dir: str | None = None,
 ) -> dict:
     """Benchmark the kernel layer and optionally write ``BENCH_perf.json``.
 
@@ -312,19 +203,6 @@ def run_kernel_bench(
     before_prop, _ = _best_of(lambda: reference_eigen_trust(connections), repeats)
     after_prop, _ = _best_of(lambda: eigen_trust(connections), repeats)
 
-    # --- out-of-core sharded backend vs in-memory -------------------------
-    shard_entry, shard_identical, shard_prop_identical, shard_checksums_ok = (
-        _bench_shard(
-            affiliation,
-            expertise,
-            derived,
-            num_shards=num_shards,
-            spill_bytes=shard_spill_bytes,
-            shard_dir=shard_dir,
-            repeats=repeats,
-        )
-    )
-
     # --- incremental engine vs cold rebuild ------------------------------
     # one rating per update: the steady-state arrival pattern the engine
     # is built for (batched arrival amortises the same stage costs)
@@ -361,14 +239,10 @@ def run_kernel_bench(
             "step1_fit_batched": entry(before_fit_batched, after_fit_batched),
             "propagation_eigentrust": entry(before_prop, after_prop),
             "incremental": incremental_entry,
-            "shard": shard_entry,
         },
         "derive_matrices_identical": bool(matrices_equal),
         "step1_matrices_identical": bool(step1_equal),
         "incremental_identical": bool(incremental_identical),
-        "shard_identical": bool(shard_identical),
-        "shard_propagation_identical": bool(shard_prop_identical),
-        "shard_checksums_ok": bool(shard_checksums_ok),
         "observability": {
             "trace_enabled": obs.TRACE_ENABLED,
             "spans": {name: stat.to_dict() for name, stat in sorted(span_stats.items())},
@@ -420,27 +294,6 @@ def main(argv: list[str] | None = None) -> int:
         default=2.0,
         help="minimum accepted incremental update-vs-cold speedup under --check",
     )
-    parser.add_argument(
-        "--shards", type=int, default=4, help="shard count for the shard scenario"
-    )
-    parser.add_argument(
-        "--shard-spill-bytes",
-        type=int,
-        default=0,
-        help="per-shard spill budget in bytes (0 = auto: half a shard)",
-    )
-    parser.add_argument(
-        "--shard-dir",
-        metavar="PATH",
-        help="persist the benchmark shard store here instead of a temp dir "
-        "(the manifest survives for inspection)",
-    )
-    parser.add_argument(
-        "--max-shard-peak-ratio",
-        type=float,
-        default=0.5,
-        help="maximum accepted sharded/in-memory peak-heap ratio under --check",
-    )
     args = parser.parse_args(argv)
     document = run_kernel_bench(
         num_users=args.users,
@@ -449,9 +302,6 @@ def main(argv: list[str] | None = None) -> int:
         out_path=args.out,
         quick=args.quick,
         trace_path=args.trace,
-        num_shards=args.shards,
-        shard_spill_bytes=args.shard_spill_bytes,
-        shard_dir=args.shard_dir,
     )
     json.dump(document, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -476,20 +326,6 @@ def main(argv: list[str] | None = None) -> int:
             failures.append(
                 f"incremental update speedup {update_speedup} below floor "
                 f"{args.min_update_speedup}"
-            )
-        if not document["shard_identical"]:
-            failures.append("sharded derive differs bitwise from the in-memory build")
-        if not document["shard_propagation_identical"]:
-            failures.append(
-                "sharded eigentrust differs bitwise from the dense propagation"
-            )
-        if not document["shard_checksums_ok"]:
-            failures.append("shard store checksum verification failed")
-        peak_ratio = document["kernels"]["shard"]["peak_ratio"]
-        if peak_ratio is not None and peak_ratio > args.max_shard_peak_ratio:
-            failures.append(
-                f"sharded peak-heap ratio {peak_ratio} above ceiling "
-                f"{args.max_shard_peak_ratio}"
             )
         for record in document["observability"]["convergence"]:
             if not record.get("converged", True):

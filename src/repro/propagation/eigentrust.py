@@ -17,20 +17,6 @@ The iteration runs on the sparse CSR view of the trust web -- pass a
 :class:`repro.matrix.UserPairMatrix` to reuse its cached CSR directly; a
 :class:`networkx.DiGraph` is accepted for compatibility and converted
 once.
-
-Out-of-core sweep
------------------
-A :class:`repro.shard.ShardedPairMatrix` input runs the same fixed point
-without ever materialising the whole spread operator: each row-block
-shard's transposed, scaled CSR is written to a temporary store once, and
-every iteration memory-maps the per-shard operators and accumulates them
-into one output vector via scipy's ``csr_matvec`` kernel.  That kernel
-adds into the running ``y[i]`` element-by-element in source-row order, so
-sweeping the shards in ascending row order reproduces the monolithic
-``spread_op @ t`` product **bitwise** -- the per-shard partial-sum
-formulation (``y += block.T @ t_block``) would not, because it changes
-the additions' parenthesisation.  Peak memory is one shard's operator
-plus the O(U) iteration vectors.
 """
 
 # repro: hot-path
@@ -38,11 +24,10 @@ plus the O(U) iteration vectors.
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, Callable, Mapping, Union
+from typing import Mapping
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import _sparsetools
 
 from repro import obs
 from repro.common.arrays import BoolArray, FloatArray
@@ -52,14 +37,11 @@ from repro.matrix import LabelIndex, UserPairMatrix
 from repro.propagation._adjacency import TrustWeb, as_pair_matrix
 from repro.propagation.scores import PropagationScores
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.shard.matrix import ShardedPairMatrix
-
 __all__ = ["eigen_trust"]
 
 
 def eigen_trust(
-    web: "TrustWeb | ShardedPairMatrix",
+    web: TrustWeb,
     *,
     weight_key: str = "trust",
     pretrust: dict[str, float] | None = None,
@@ -104,30 +86,14 @@ def eigen_trust(
     require_positive("tolerance", tolerance)
     require_positive("max_iterations", max_iterations)
 
-    from repro.shard.matrix import ShardedPairMatrix
-
-    if isinstance(web, ShardedPairMatrix):
-        users = web.users
-        sharded: "ShardedPairMatrix | None" = web
-        matrix = None
-    else:
-        matrix = as_pair_matrix(web, weight_key=weight_key)
-        users = matrix.users
-        sharded = None
+    matrix = as_pair_matrix(web, weight_key=weight_key)
+    users = matrix.users
     n = len(users)
     if n == 0:
         return PropagationScores(LabelIndex(()), np.zeros(0))
 
-    with obs.span(
-        "propagation.eigentrust",
-        users=n,
-        shards=0 if sharded is None else sharded.num_shards,
-    ):
-        if sharded is not None:
-            apply_spread, dangling = _sharded_spread(sharded)
-        else:
-            assert matrix is not None
-            apply_spread, dangling = _dense_spread(matrix)
+    with obs.span("propagation.eigentrust", users=n):
+        spread_op, dangling = _dense_spread(matrix)
 
         p = _pretrust_vector(pretrust, users)
         t = _initial_vector(initial, users, p)
@@ -136,7 +102,7 @@ def eigen_trust(
         residual = float("inf")
         for iterations in range(1, max_iterations + 1):
             # dangling users are treated as trusting the pre-trusted peers
-            spread = apply_spread(t) + p * float(t[dangling].sum())
+            spread = spread_op @ t + p * float(t[dangling].sum())
             new_t = (1.0 - alpha) * spread + alpha * p
             total = new_t.sum()
             if total > 0:
@@ -166,84 +132,25 @@ def eigen_trust(
         )
 
 
-def _dense_spread(
-    matrix: "UserPairMatrix",
-) -> tuple[Callable[[FloatArray], FloatArray], BoolArray]:
-    """The in-memory spread operator: one cached transposed CSR."""
-    adjacency = matrix.csr()
-    if adjacency.nnz and adjacency.data.size and float(adjacency.data.min()) < 0.0:
-        raise ValidationError("EigenTrust requires non-negative edge weights")
-    row_sums = np.asarray(adjacency.sum(axis=1)).ravel()
-    dangling: BoolArray = row_sums == 0.0
-    inverse = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, row_sums))
-    # column-oriented form of the row-normalised matrix, so each sweep is
-    # one sparse mat-vec; scaling the CSR data directly multiplies the
-    # same inverse[i] * a_ij products a diagonal matmul would, without
-    # paying a sparse-sparse product to do it
-    scale = np.repeat(inverse, np.diff(adjacency.indptr))
-    spread_op = sparse.csr_matrix(
-        (adjacency.data * scale, adjacency.indices, adjacency.indptr),
-        shape=adjacency.shape,
-    ).T.tocsr()
-
-    def apply(t: FloatArray) -> FloatArray:
-        result: FloatArray = spread_op @ t
-        return result
-
-    return apply, dangling
-
-
-def _sharded_spread(
-    matrix: "ShardedPairMatrix",
-) -> tuple[Callable[[FloatArray], FloatArray], BoolArray]:
-    """The out-of-core spread operator: per-shard transposed CSRs on disk.
-
-    Each shard's operator block (``U x rows_in_shard``) is written to a
-    temporary :class:`repro.shard.ShardStore` once; :func:`apply` then
-    memory-maps the blocks per iteration and accumulates them into one
-    output vector with ``csr_matvec``, whose per-element running sum in
-    ascending source-row order makes the sweep bitwise equal to the
-    monolithic product (see the module notes).
-    """
-    from repro.shard.store import ShardStore
-
-    n = len(matrix.users)
-    ops_store = ShardStore.temporary(prefix="repro-eigentrust-")
-    dangling = np.ones(n, dtype=bool)
-    shard_meta: list[tuple[int, int, int]] = []
-    for s, lo, hi in matrix.layout:
-        block = matrix.shard_csr(s)
-        if block.nnz and float(block.data.min()) < 0.0:
+def _dense_spread(matrix: UserPairMatrix) -> tuple[sparse.csr_matrix, BoolArray]:
+    """The spread operator ``C^T`` as a CSR, plus the dangling-row mask."""
+    with obs.span("propagation.eigentrust.operator"):
+        adjacency = matrix.csr()
+        if adjacency.nnz and adjacency.data.size and float(adjacency.data.min()) < 0.0:
             raise ValidationError("EigenTrust requires non-negative edge weights")
-        local_sums = np.asarray(block.sum(axis=1)).ravel()
-        local_dangling = local_sums == 0.0
-        dangling[lo:hi] = local_dangling
-        inverse = np.where(
-            local_dangling, 0.0, 1.0 / np.where(local_dangling, 1.0, local_sums)
-        )
-        scale = np.repeat(inverse, np.diff(block.indptr))
-        op = sparse.csr_matrix(
-            (block.data * scale, block.indices, block.indptr), shape=block.shape
+        row_sums = np.asarray(adjacency.sum(axis=1)).ravel()
+        dangling: BoolArray = row_sums == 0.0
+        inverse = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, row_sums))
+        # column-oriented form of the row-normalised matrix, so each sweep
+        # is one sparse mat-vec; scaling the CSR data directly multiplies
+        # the same inverse[i] * a_ij products a diagonal matmul would,
+        # without paying a sparse-sparse product to do it
+        scale = np.repeat(inverse, np.diff(adjacency.indptr))
+        spread_op = sparse.csr_matrix(
+            (adjacency.data * scale, adjacency.indices, adjacency.indptr),
+            shape=adjacency.shape,
         ).T.tocsr()
-        if op.nnz:
-            ops_store.write_array(f"op_{s:05d}.data.npy", op.data)
-            ops_store.write_array(f"op_{s:05d}.indices.npy", op.indices)
-            ops_store.write_array(f"op_{s:05d}.indptr.npy", op.indptr)
-            shard_meta.append((s, lo, hi))
-
-    def apply(t: FloatArray) -> FloatArray:
-        y = np.zeros(n)
-        for s, lo, hi in shard_meta:
-            data = ops_store.read_array(f"op_{s:05d}.data.npy")
-            indices = ops_store.read_array(f"op_{s:05d}.indices.npy")
-            indptr = ops_store.read_array(f"op_{s:05d}.indptr.npy")
-            # accumulates into y element-by-element: sweeping shards in
-            # ascending row order reproduces the monolithic matvec bitwise
-            _sparsetools.csr_matvec(n, hi - lo, indptr, indices, data, t[lo:hi], y)
-        obs.add("propagation.eigentrust.shard_sweeps", len(shard_meta))
-        return y
-
-    return apply, dangling
+        return spread_op, dangling
 
 
 def _initial_vector(
@@ -269,6 +176,9 @@ def _initial_vector(
     if np.any(t < 0.0):
         raise ValidationError("initial scores must be non-negative")
     total = t.sum()
+    if not np.isfinite(total):
+        # a NaN or inf score, or finite scores whose sum overflows
+        raise ValidationError("initial scores must be finite with a finite total")
     if total <= 0.0:
         return p.copy()
     return t / total
@@ -286,6 +196,9 @@ def _pretrust_vector(pretrust: dict[str, float] | None, users: LabelIndex) -> Fl
             raise ValidationError("pretrust values must be non-negative")
         p[users.position(node)] = value
     total = p.sum()
+    if not np.isfinite(total):
+        # a NaN or inf value, or finite values whose sum overflows
+        raise ValidationError("pretrust values must be finite with a finite total")
     if total <= 0:
         raise ValidationError("pretrust must have positive total mass")
     return p / total

@@ -35,8 +35,6 @@ of this problem (C ~ 12) the einsum is also at least as fast as gemm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro import obs
@@ -44,11 +42,6 @@ from repro.common.arrays import FloatArray, IntArray
 from repro.common.errors import ValidationError
 from repro.common.validation import require_non_negative, require_positive
 from repro.matrix import UserCategoryMatrix, UserPairMatrix
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.shard.layout import ShardLayout
-    from repro.shard.matrix import ShardedPairMatrix
-    from repro.shard.store import ShardStore
 
 __all__ = ["TrustDeriver", "derive_trust"]
 
@@ -129,95 +122,6 @@ class TrustDeriver:
                 if local.size:
                     result.set_block(block_rows[local], cols, block[local, cols])
                     stored += int(local.size)
-            obs.add("derive.blocks", blocks)
-            obs.add("derive.entries_stored", stored)
-            return result
-
-    def derive_sharded(
-        self,
-        affiliation: UserCategoryMatrix,
-        expertise: UserCategoryMatrix,
-        *,
-        layout: "ShardLayout | None" = None,
-        num_shards: int = 4,
-        store: "ShardStore | None" = None,
-        spill_bytes: int | None = None,
-    ) -> "ShardedPairMatrix":
-        """Compute ``T-hat`` one row-block shard at a time (eq. 5).
-
-        The streaming counterpart of :meth:`derive`: rows are processed
-        shard by shard and each finished shard is handed to the
-        :class:`repro.shard.ShardedPairMatrix` (which spills it to its
-        store once over budget), so peak memory is one shard's entries
-        plus one dense block -- never the whole matrix.  Dense blocks do
-        not cross shard boundaries, so every stored entry goes through
-        the same fixed-reduction-order :func:`_block_product` as the
-        in-memory path and the result is **bitwise identical** to
-        :meth:`derive` on the same inputs.
-        """
-        from repro.shard.layout import ShardLayout
-        from repro.shard.matrix import ShardedPairMatrix
-
-        _require_aligned(affiliation, expertise)
-        users = affiliation.users
-        n = len(users)
-        layout = layout or ShardLayout.even(n, num_shards)
-        result = ShardedPairMatrix(
-            users, layout, store=store, spill_bytes=spill_bytes
-        )
-        block_size = self.block_size
-        if spill_bytes is not None:
-            # the spill budget bounds the dense scratch too: one block of
-            # b rows costs b * n float64s, and block boundaries cannot
-            # change stored values (the per-element reduction order of
-            # _block_product is shape-independent)
-            block_size = max(1, min(block_size, int(spill_bytes) // (8 * max(1, n))))
-        with obs.span(
-            "derive.trust.sharded",
-            users=n,
-            categories=len(affiliation.categories),
-            shards=layout.num_shards,
-            block_size=block_size,
-        ):
-            a_values = affiliation.values_view()
-            e_transposed = expertise.values_view().T.copy()  # C x U, contiguous
-            row_sums = a_values.sum(axis=1)
-            active_rows = np.nonzero(row_sums > 0.0)[0]
-
-            stored = 0
-            blocks = 0
-            for shard, lo, hi in layout:
-                shard_rows = active_rows[
-                    np.searchsorted(active_rows, lo) : np.searchsorted(active_rows, hi)
-                ]
-                key_parts: list[IntArray] = []
-                val_parts: list[FloatArray] = []
-                for start in range(0, len(shard_rows), block_size):
-                    blocks += 1
-                    block_rows = shard_rows[start : start + block_size]
-                    weights = a_values[block_rows, :] / row_sums[block_rows, None]
-                    block = _block_product(weights, e_transposed)  # block x U
-                    mask = block > self.min_value
-                    if not self.include_self:
-                        mask[np.arange(block_rows.size), block_rows] = False
-                    local, cols = np.nonzero(mask)
-                    if local.size:
-                        # np.nonzero is row-major, so keys come out strictly
-                        # increasing: the set_shard_entries fast path applies
-                        key_parts.append(block_rows[local] * n + cols)
-                        val_parts.append(block[local, cols])
-                        stored += int(local.size)
-                keys = (
-                    np.concatenate(key_parts)
-                    if key_parts
-                    else np.empty(0, dtype=np.int64)
-                )
-                vals = (
-                    np.concatenate(val_parts)
-                    if val_parts
-                    else np.empty(0, dtype=np.float64)
-                )
-                result.set_shard_entries(shard, keys, vals)
             obs.add("derive.blocks", blocks)
             obs.add("derive.entries_stored", stored)
             return result

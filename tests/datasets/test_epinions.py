@@ -171,6 +171,36 @@ MALFORMED = [
         {"skip_unknown_reviews": False},
         id="unknown-review-strict",
     ),
+    pytest.param("mc.txt", ["r1|alice|m1|c", "r2|bob"], 2, {}, id="content-two-fields"),
+    pytest.param("mc.txt", ["r1|alice|m1|c", "r2|bob||c"], 2, {}, id="empty-object-id"),
+    pytest.param("mc.txt", ["r1|alice|m1|c", "r2|bob|m2|"], 2, {}, id="empty-category"),
+    pytest.param(
+        "mc.txt",
+        ["# header", "", "r1|alice|m1|c", "r1|bob|m2|c"],
+        4,
+        {},
+        id="line-count-includes-skipped-lines",
+    ),
+    pytest.param("rating.txt", ["r1|bob|3", "r1|carol"], 2, {}, id="rating-two-fields"),
+    pytest.param("rating.txt", ["r1|bob|3", "r1|carol|0"], 2, {}, id="stars-zero"),
+    pytest.param("rating.txt", ["r1|bob|3", "r1|carol|6"], 2, {}, id="stars-six"),
+    pytest.param("rating.txt", ["r1|bob|3", "r1|carol|3.5"], 2, {}, id="stars-fractional"),
+    pytest.param("rating.txt", ["r1|bob|3", "r1|carol|three"], 2, {}, id="stars-word"),
+    pytest.param("rating.txt", ["r1|bob|3", "r1|carol|"], 2, {}, id="stars-empty"),
+    pytest.param("rating.txt", ["r1|bob|3", "|carol|3"], 2, {}, id="empty-review-ref"),
+    pytest.param("rating.txt", ["r1|bob|3", b"r1|c\xe9|3"], 2, {}, id="rating-non-utf8"),
+    pytest.param(
+        "rating.txt",
+        ["r1|bob|3", "r1|alice|4"],
+        2,
+        {"skip_self_ratings": False},
+        id="self-rating-kept",
+    ),
+    pytest.param("user_rating.txt", ["bob|alice|1", "carol"], 2, {}, id="trust-one-field"),
+    pytest.param("user_rating.txt", ["bob|alice|1", "carol|"], 2, {}, id="empty-trustee-id"),
+    pytest.param(
+        "user_rating.txt", ["bob|alice|1", b"c\xffrol|alice|1"], 2, {}, id="trust-non-utf8"
+    ),
 ]
 
 

@@ -1,9 +1,12 @@
-"""Property test: Epinions file round-trip on randomised communities."""
+"""Property tests: Epinions file round-trip and malformed-file fuzzing."""
+
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import DatasetError
 from repro.community import (
     Community,
     HELPFULNESS_SCALE,
@@ -82,3 +85,47 @@ class TestEpinionsRoundtripProperty:
             assert reloaded.review_category(
                 review.review_id
             ) == community.review_category(review.review_id)
+
+
+#: a valid one-line dump; each fuzz case replaces one of the three files
+BASELINE = {
+    "mc.txt": [b"r1|alice|m1|c"],
+    "rating.txt": [b"r1|bob|3"],
+    "user_rating.txt": [b"bob|alice|1"],
+}
+
+#: short lines over an alphabet rich in the format's own syntax, so that
+#: wrong field counts, empty ids, bad stars, comments and non-UTF-8 bytes
+#: all come up often
+FUZZ_LINES = st.lists(
+    st.lists(
+        st.sampled_from(
+            [b"|", b"r1", b"r2", b"m1", b"c", b"alice", b"bob", b"1", b"3", b"6",
+             b"-1", b"x", b" ", b"#", b"\xff", b"\xc3"]
+        ),
+        max_size=8,
+    ).map(b"".join),
+    max_size=6,
+)
+
+
+class TestLoaderFuzzing:
+    @pytest.mark.parametrize("fuzzed", sorted(BASELINE))
+    @given(lines=FUZZ_LINES)
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_malformed_files_raise_dataset_error_with_location(
+        self, tmp_path_factory, fuzzed, lines
+    ):
+        """A hostile dump loads or fails with ``DatasetError`` at ``path:line``."""
+        directory = tmp_path_factory.mktemp("fuzz")
+        for name, content in {**BASELINE, fuzzed: lines}.items():
+            (directory / name).write_bytes(b"".join(line + b"\n" for line in content))
+        try:
+            load_epinions_community(str(directory))
+        except DatasetError as exc:
+            location = re.escape(str(directory)) + r"/[\w.]+:\d+: "
+            assert re.match(location, str(exc)), str(exc)

@@ -135,6 +135,98 @@ class TestIncrementalUpdates:
         assert stamps.derived < epoch  # cached T-hat proven valid, untouched
 
 
+def first_review(community, category):
+    return community.reviews_in_category(category)[0]
+
+
+def join_trusting(community):
+    community.add_user("newcomer")
+    community.add_trust(TrustStatement("newcomer", "u000001"))
+
+
+def join_rating(community):
+    community.add_user("newcomer")
+    community.add_rating(
+        ReviewRating("newcomer", first_review(community, "c000000").review_id, 0.8)
+    )
+
+
+def join_writing(community):
+    community.add_user("newcomer")
+    community.add_object(ReviewedObject("new-object", "c000001"))
+    community.add_review(Review("new-review", "newcomer", "new-object"))
+    community.add_rating(ReviewRating("u000002", "new-review", 1.0))
+
+
+def join_two_users(community):
+    community.add_user("writer")
+    community.add_user("reader")
+    community.add_object(ReviewedObject("new-object", "c000002"))
+    community.add_review(Review("new-review", "writer", "new-object"))
+    community.add_rating(ReviewRating("reader", "new-review", 0.6))
+
+
+def join_alongside_rating(community):
+    join_rating(community)
+    review = first_review(community, "c000003")
+    community.add_rating(ReviewRating("u000005", review.review_id, 0.4))
+
+
+class TestGrownUserAxis:
+    """New users reach ``T-hat`` through ``UserPairMatrix.patched``, not a rebuild."""
+
+    @pytest.mark.parametrize(
+        "grow",
+        [join_trusting, join_rating, join_writing, join_two_users, join_alongside_rating],
+        ids=["trust-only", "rates", "writes-and-is-rated", "two-users", "with-other-rating"],
+    )
+    def test_new_users_patch_bitwise(self, generated_community, grow):
+        community = clone_community(generated_community)
+        engine = Engine(community)
+        engine.update()
+        grow(community)
+        artifacts = engine.update()
+        assert len(artifacts.derived.users) == community.num_users()
+        assert engine.last_stats.pairs_reused > 0
+        assert_matches_cold(engine, community)
+
+    def test_growth_restamps_expertise_and_derived(self, generated_community):
+        community = clone_community(generated_community)
+        engine = Engine(community)
+        engine.update()
+        join_trusting(community)
+        stamps = engine.update().stamps
+        epoch = community.change_log.epoch
+        assert stamps.expertise == epoch  # E gained a row even though no category moved
+        assert stamps.derived == epoch
+        assert engine.last_stats.categories_resolved == 0
+
+    def test_users_joining_one_per_update_stay_bitwise(self, generated_community):
+        community = clone_community(generated_community)
+        engine = Engine(community)
+        engine.update()
+        review = first_review(community, "c000000").review_id
+        for k in range(3):
+            community.add_user(f"joiner{k}")
+            community.add_rating(ReviewRating(f"joiner{k}", review, 0.6))
+            engine.update()
+            assert_matches_cold(engine, community)
+
+    def test_approximate_mode_pads_warm_start_for_new_users(self, generated_community):
+        exact = Engine(clone_community(generated_community))
+        approx = Engine(clone_community(generated_community), exact=False)
+        exact.update()
+        approx.update()
+        for engine in (exact, approx):
+            join_two_users(engine.community)
+        e = exact.update()
+        a = approx.update()
+        assert a.scores.scores_array().shape == (generated_community.num_users() + 2,)
+        np.testing.assert_allclose(
+            a.scores.scores_array(), e.scores.scores_array(), atol=1e-6
+        )
+
+
 class TestExactVsApproximate:
     def test_approximate_mode_agrees_to_tolerance(self, generated_community):
         base, stream = split_rating_stream(generated_community, 4)
@@ -150,6 +242,29 @@ class TestExactVsApproximate:
             np.testing.assert_allclose(
                 a.scores.scores_array(), e.scores.scores_array(), atol=1e-6
             )
+
+
+class TestPropagationSettings:
+    """``alpha``, ``pretrust`` and ``tolerance`` reach every EigenTrust run."""
+
+    SETTINGS = {"alpha": 0.4, "pretrust": {"alice": 1.0, "carol": 1.0}, "tolerance": 1e-12}
+
+    def test_cold_build_uses_settings(self, two_category_community):
+        engine = Engine(two_category_community, **self.SETTINGS)
+        artifacts = engine.update()
+        reference = cold_artifacts(clone_community(two_category_community), **self.SETTINGS)
+        assert not artifacts.differences(reference)
+        default = cold_artifacts(clone_community(two_category_community))
+        assert artifacts.differences(default) == ["scores"]
+
+    def test_incremental_update_uses_settings(self, two_category_community):
+        engine = Engine(two_category_community, **self.SETTINGS)
+        engine.update()
+        two_category_community.add_rating(ReviewRating("carol", "ra2", 0.4))
+        artifacts = engine.update()
+        assert engine.last_stats.propagation_rerun
+        reference = cold_artifacts(clone_community(two_category_community), **self.SETTINGS)
+        assert not artifacts.differences(reference)
 
 
 class TestReplayHelpers:

@@ -58,6 +58,12 @@ class TestWrites:
         with pytest.raises(ValidationError):
             matrix.set("u1", "u2", True)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), True, "0.5"])
+    def test_accumulate_rejects_what_set_rejects(self, matrix, value):
+        with pytest.raises(ValidationError):
+            matrix.accumulate("u1", "u2", value)
+        assert matrix.get("u1", "u2") == pytest.approx(0.8)
+
     def test_unknown_user_rejected(self, matrix):
         with pytest.raises(KeyError):
             matrix.set("ghost", "u1", 0.5)

@@ -308,6 +308,16 @@ class TestPatched:
         assert patched.get("u5", "u0") == 0.75
         assert patched.get("u0", "u5") == 0.1
 
+    def test_axis_growth_alone_keeps_every_entry(self, users):
+        """A joiner with no activity: no changed rows or columns, a longer axis."""
+        grown = LabelIndex(list(users.labels) + ["u5", "u6"])
+        old = UserPairMatrix.from_arrays(users, [0, 2, 4], [1, 3, 0], [0.5, 0.25, 0.125])
+        empty = np.array([], dtype=np.int64)
+        patched, kept = old.patched(grown, UserPairMatrix(grown), rows=empty, cols=empty)
+        assert kept == 3
+        assert patched.users is grown
+        assert set(patched.entries()) == set(old.entries())
+
     def test_region_on_wrong_axis_rejected(self, users):
         other = LabelIndex(["a", "b", "c", "d", "e"])
         old = UserPairMatrix.from_arrays(users, [0], [1], [0.5])

@@ -18,6 +18,7 @@ from repro import obs
 from repro.matrix import UserPairMatrix
 from repro.obs.recorder import Recorder, convergence_failures
 from repro.propagation import appleseed, eigen_trust
+from repro.community import ReviewRating
 from repro.datasets import CommunityProfile, generate_community
 from repro.engine import Engine, split_rating_stream
 from repro.reputation import ExpertiseEstimator, IncrementalExpertise
@@ -171,19 +172,24 @@ class TestStep1PathParity:
         )
 
 
+def traced_localised_update():
+    """One single-rating ``Engine.update()`` run under a fresh recorder."""
+    community = generate_community(CommunityProfile(num_users=80), seed=3).community
+    base, stream = split_rating_stream(community, 1)
+    engine = Engine(base)
+    engine.update()
+    base.add_rating(stream[0])
+
+    recorder = Recorder()
+    with obs.use_recorder(recorder):
+        engine.update()
+    (update,) = [r for r in recorder.roots if r.name == "engine.update"]
+    return engine, base, stream, recorder, update
+
+
 class TestEngineStep1Telemetry:
     def test_traced_update_records_step1(self):
-        community = generate_community(CommunityProfile(num_users=80), seed=3).community
-        base, stream = split_rating_stream(community, 1)
-        engine = Engine(base)
-        engine.update()
-        base.add_rating(stream[0])
-
-        recorder = Recorder()
-        with obs.use_recorder(recorder):
-            engine.update()
-
-        (update,) = [r for r in recorder.roots if r.name == "engine.update"]
+        engine, base, stream, recorder, update = traced_localised_update()
         assert "step1.solve_all" in span_names_under(update)
         # the rating's category is the one category re-solved
         assert engine.last_stats.categories_resolved == 1
@@ -192,6 +198,25 @@ class TestEngineStep1Telemetry:
             base.review_category(stream[0].review_id)
         ]
         assert len(recorder.histograms["step1.sweeps"]) == 1
+
+    def test_traced_update_records_patch_and_operator(self):
+        engine, _, _, _, update = traced_localised_update()
+        assert engine.last_stats.pairs_reused > 0  # took the patch path
+        names = span_names_under(update)
+        assert "engine.patch" in names
+        assert "propagation.eigentrust.operator" in names
+
+
+    def test_traced_user_growth_records_patch(self):
+        engine, base, stream, _, _ = traced_localised_update()
+        base.add_user("newcomer")
+        base.add_rating(ReviewRating("newcomer", stream[0].review_id, 0.8))
+        recorder = Recorder()
+        with obs.use_recorder(recorder):
+            engine.update()
+        assert engine.last_stats.pairs_reused > 0
+        (update,) = [r for r in recorder.roots if r.name == "engine.update"]
+        assert "engine.patch" in span_names_under(update)
 
 
 class TestConvergenceSurfacing:

@@ -29,6 +29,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["generate"])
 
+    @pytest.mark.parametrize(
+        "args,attribute,value",
+        [
+            (["derive", "--out", "x", "--min-trust", "-0.5"], "min_trust", -0.5),
+            (["derive", "--out", "x", "--min-trust", "1e-3"], "min_trust", 1e-3),
+            (["update", "--stream", "0"], "stream", 0),
+            (["update", "--batch", "1"], "batch", 1),
+        ],
+        ids=["negative-min-trust", "exponent-min-trust", "empty-stream", "unit-batch"],
+    )
+    def test_boundary_values_accepted(self, args, attribute, value):
+        assert getattr(build_parser().parse_args(args), attribute) == value
+
 
 class TestCommands:
     def test_stats_synthetic(self, capsys):
@@ -61,6 +74,19 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "cold build at epoch" in out
         assert "Incremental updates" in out
+        assert "final state verified bitwise against a cold build" in out
+
+    def test_update_from_dump_dir(self, tmp_path, capsys):
+        data_dir = str(tmp_path / "data")
+        main(["generate", *ARGS, "--out", data_dir])
+        assert main(["update", "--dir", data_dir, "--stream", "4", "--batch", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "final state verified bitwise against a cold build" in out
+
+    def test_update_with_empty_stream_verifies_cold_build(self, capsys):
+        assert main(["update", *ARGS, "--stream", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "cold build at epoch" in out
         assert "final state verified bitwise against a cold build" in out
 
     def test_update_skip_verify(self, capsys):
@@ -139,8 +165,26 @@ def write_duplicate_review_dump(directory):
         (["update", *ARGS, "--stream", "-3"], "--stream: must be >= 0"),
         (["update", *ARGS, "--batch", "0"], "--batch: must be >= 1"),
         (["derive", "--dir", "{dump}", "--out", "{out}"], "mc.txt:2: duplicate"),
+        (["derive", *ARGS, "--out", "{out}", "--min-trust", "nan"], "--min-trust: must be finite"),
+        (["derive", *ARGS, "--out", "{out}", "--min-trust", "inf"], "--min-trust: must be finite"),
+        (["derive", *ARGS, "--out", "{out}", "--min-trust=-inf"], "--min-trust: must be finite"),
+        (["derive", *ARGS, "--out", "{out}", "--min-trust", "abc"], "invalid float value"),
+        (["update", *ARGS, "--stream", "many"], "invalid int value"),
+        (["update", *ARGS, "--batch", "-1"], "--batch: must be >= 1"),
+        (["update", *ARGS, "--batch", "2.5"], "invalid int value"),
     ],
-    ids=["negative-stream", "zero-batch", "duplicate-review-id"],
+    ids=[
+        "negative-stream",
+        "zero-batch",
+        "duplicate-review-id",
+        "nan-min-trust",
+        "inf-min-trust",
+        "minus-inf-min-trust",
+        "word-min-trust",
+        "word-stream",
+        "negative-batch",
+        "fractional-batch",
+    ],
 )
 def test_bad_input_exits_2_without_traceback(tmp_path, args, message):
     dump = tmp_path / "dump"

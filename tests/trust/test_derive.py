@@ -73,6 +73,12 @@ class TestEquationFive:
         with pytest.raises(ValidationError, match="category axis"):
             derive_trust(A, E)
 
+    def test_misaligned_axes_rejected(self):
+        A = UserCategoryMatrix(["u0", "u1"], ["c0"])
+        E = UserCategoryMatrix(["u0", "other"], ["c0"])
+        with pytest.raises(ValidationError):
+            TrustDeriver().derive(A, E)
+
 
 class TestBlockedComputation:
     def test_block_size_does_not_change_result(self):
@@ -87,6 +93,23 @@ class TestBlockedComputation:
         small = TrustDeriver(block_size=3).derive(A, E)
         large = TrustDeriver(block_size=1000).derive(A, E)
         assert small == large
+
+    @pytest.mark.parametrize("block_size", [1, 2, 7, 19])
+    def test_every_block_size_is_bitwise_equal(self, block_size):
+        """Block boundaries decide which rows share a product, never a value."""
+        rng = np.random.default_rng(5)
+        n, c = 25, 3
+        a = rng.random((n, c)) * (rng.random((n, c)) < 0.6)
+        e = rng.random((n, c)) * (rng.random((n, c)) < 0.6)
+        A, E = make_matrices(a.tolist(), e.tolist())
+        blocked = TrustDeriver(block_size=block_size).derive(A, E)
+        whole = TrustDeriver(block_size=n).derive(A, E)
+        for got, want in zip(blocked.entries_arrays(), whole.entries_arrays()):
+            np.testing.assert_array_equal(got, want)
+
+    def test_zero_affinity_community_is_empty(self):
+        A, E = make_matrices([[0.0], [0.0]], [[0.5], [0.5]])
+        assert TrustDeriver(block_size=1).derive(A, E).num_entries() == 0
 
     def test_invalid_config(self):
         with pytest.raises(ValidationError):
